@@ -50,7 +50,6 @@ from .groups import (
     GroupSubset,
     Quotient,
     Subgroup,
-    make_group,
     preimage_subset,
     project_subset,
     quotient_view,
@@ -66,7 +65,6 @@ __all__ = [
     "GroupSubset",
     "Quotient",
     "Subgroup",
-    "make_group",
     "stabilizer",
     "transversal",
     "quotient_view",

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DivisibilityError, EmptySetError
 from .groups import GroupSubset, stabilizer
 
@@ -171,7 +169,7 @@ def proposition_check(g: float, h: float, s: float, tolerance: float = 1e-9) -> 
 def proposition_margin_grid(
     h: int,
     g_max: int,
-    s_values: "np.ndarray",
+    s_values: "numpy.ndarray",
     chunk: int = 256,
 ) -> float:
     """Minimum margin of the thm2-vs-lemma real inequality over a dense grid.
@@ -181,6 +179,8 @@ def proposition_margin_grid(
     minimum of LHS - RHS over the grid; the inequality holds at tolerance tol
     iff the result is >= -tol.
     """
+    import numpy as np  # only this grid needs numpy; keep it off the CLI import path
+
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     s = np.asarray(s_values, dtype=np.float64)

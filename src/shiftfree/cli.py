@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 import time
@@ -273,7 +272,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             n_value=upper_bound(report.group_size, report.s),
             max_avoider=cert.avoiding_set,
             min_hitting_set=cert.avoiding_set.complement(),
-            optimal=True,
             nodes=0,
         )
         method = "corollary"
@@ -470,13 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--seed", type=_seed_type, default=0, help="seed for randomized search")
     common.add_argument(
-        "--threads",
-        type=_positive_type("threads"),
-        default=None,
-        help="solver threads (reserved; exploration is sequential and deterministic); "
-        "defaults to SHIFTFREE_THREADS or 1",
-    )
-    common.add_argument(
         "--budget-ms",
         type=_positive_type("budget"),
         default=DEFAULT_BUDGET_MS,
@@ -515,21 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SHIFTFREE_THREADS")
-    if env is None:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        raise ParseError(f"SHIFTFREE_THREADS value {env!r} is not an integer") from None
-    if threads < 1:
-        raise ParseError(f"SHIFTFREE_THREADS must be >= 1, got {env!r}")
-    return threads
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -537,7 +513,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        args.threads = _resolve_threads(args)
         return args.handler(args)
     except (
         ParseError,

@@ -14,13 +14,8 @@ from typing import Optional
 
 from .bounds import ceil_root_power, thm2_lower
 from .errors import DomainMismatchError, EmptySetError, SearchExhaustedError
-from .groups import (
-    GroupSubset,
-    preimage_subset,
-    project_subset,
-    quotient_view,
-    stabilizer,
-)
+from .exact import _solve_hitting_set, translate_family
+from .groups import GroupSubset, Quotient, project_subset, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -55,21 +50,22 @@ class Certificate:
         return self.avoiding_set.size
 
 
+# Search budgets: random samples, repair steps, and the largest group the
+# hitting-set fallback is tried on.
+MAX_RANDOM_RESTARTS = 64
+MAX_REPAIR_STEPS = 2000
+EXACT_FALLBACK_LIMIT = 64
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets for the randomized avoider search; seed makes runs reproducible."""
+    """Seed of the randomized avoider search; it makes runs reproducible."""
 
     seed: int = 0
-    max_random_restarts: int = 64
-    max_repair_steps: int = 2000
-    exact_fallback_limit: int = 64
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        for name in ("max_random_restarts", "max_repair_steps", "exact_fallback_limit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
@@ -92,6 +88,16 @@ def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
     return Certificate(candidate, pattern, verified=True, witness=None)
 
 
+def _lift(view: Quotient, classes: int) -> GroupSubset:
+    """Full preimage of the chosen classes plus every other coset minus its max flat index."""
+    top = {cls: a for a, cls in enumerate(view.projection)}  # ascending a: the max wins
+    bits = (1 << view.base.size) - 1
+    for cls, a in top.items():
+        if not (classes >> cls) & 1:
+            bits ^= 1 << a
+    return GroupSubset(view.base, bits)
+
+
 def construct_thm1(pattern: GroupSubset) -> Certificate:
     """Avoiding set of size g - g/h: drop the max flat index of every H-coset.
 
@@ -100,12 +106,8 @@ def construct_thm1(pattern: GroupSubset) -> Certificate:
     """
     if pattern.bits == 0:
         raise EmptySetError("construction needs a nonempty pattern")
-    grp = pattern.group
-    view = quotient_view(grp, stabilizer(pattern))
-    bits = (1 << grp.size) - 1
-    for cls in range(view.size):
-        bits ^= 1 << max(view.class_members(cls))
-    cert = verify_avoids(GroupSubset(grp, bits), pattern)
+    view = quotient_view(pattern.group, stabilizer(pattern))
+    cert = verify_avoids(_lift(view, 0), pattern)
     if not cert.verified:
         raise AssertionError("punctured-coset set failed verification; this is a bug")
     return cert
@@ -116,9 +118,10 @@ def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig)
 
     Requires the pattern's stabilizer to be trivial (callers hand in quotient
     data, where that always holds).  Strategy: uniform random subsets, then
-    local repair of the last sample, then exhaustive depth-first search when
-    the group is small enough; raises SearchExhaustedError otherwise.  The
-    whole schedule is a pure function of config.seed.
+    local repair of the last sample, then, when the group is small enough, a
+    hitting-set solve bounded by |G| - target_size whose complement is
+    trimmed to size; raises SearchExhaustedError otherwise.  The whole
+    schedule is a pure function of config.seed.
     """
     if pattern.bits == 0:
         raise EmptySetError("search needs a nonempty pattern")
@@ -145,7 +148,7 @@ def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig)
     else:
         rng = random.Random(config.seed)
         sample = 0
-        for _ in range(config.max_random_restarts):
+        for _ in range(MAX_RANDOM_RESTARTS):
             sample = 0
             for e in rng.sample(range(g), target_size):
                 sample |= 1 << e
@@ -154,7 +157,7 @@ def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig)
                 break
         if found < 0:
             bits = sample
-            for _ in range(config.max_repair_steps):
+            for _ in range(MAX_REPAIR_STEPS):
                 t = violation(bits)
                 if t < 0:
                     found = bits
@@ -165,8 +168,13 @@ def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig)
                 inside = GroupSubset(grp, masks[t]).indices()
                 bits ^= 1 << rng.choice(inside)
                 bits |= 1 << rng.choice(outside)
-        if found < 0 and g <= config.exact_fallback_limit:
-            found = _exhaustive_avoider(g, masks, pattern.size, target_size)
+        if found < 0 and g <= EXACT_FALLBACK_LIMIT:
+            # B avoids every translate iff its complement hits every translate.
+            size, hitting, _ = _solve_hitting_set(translate_family(pattern), None, g - target_size)
+            if size <= g - target_size:
+                found = full ^ hitting
+                while found.bit_count() > target_size:
+                    found ^= 1 << (found.bit_length() - 1)
         if found < 0:
             raise SearchExhaustedError(
                 f"no avoiding set of size {target_size} found within budgets"
@@ -176,47 +184,6 @@ def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig)
     if not cert.verified:
         raise AssertionError("search produced an unverified set; this is a bug")
     return cert
-
-
-def _exhaustive_avoider(g: int, masks: list[int], set_size: int, target: int) -> int:
-    """Lexicographically first avoiding subset of the given size, or -1.
-
-    Depth-first over elements in ascending order, counting per-translate hits;
-    a branch dies as soon as some translate has every element chosen.
-    """
-    elem_sets = [[] for _ in range(g)]
-    for j, m in enumerate(masks):
-        b = m
-        while b:
-            low = b & -b
-            elem_sets[low.bit_length() - 1].append(j)
-            b ^= low
-    counts = [0] * len(masks)
-    chosen: list[int] = []
-
-    def dfs(start: int, need: int) -> int:
-        if need == 0:
-            out = 0
-            for e in chosen:
-                out |= 1 << e
-            return out
-        for e in range(start, g - need + 1):
-            filled = False
-            for j in elem_sets[e]:
-                counts[j] += 1
-                if counts[j] == set_size:
-                    filled = True
-            if not filled:
-                chosen.append(e)
-                result = dfs(e + 1, need - 1)
-                if result >= 0:
-                    return result
-                chosen.pop()
-            for j in elem_sets[e]:
-                counts[j] -= 1
-        return -1
-
-    return dfs(0, target)
 
 
 def construct_thm2(pattern: GroupSubset, config: SearchConfig) -> Certificate:
@@ -237,16 +204,7 @@ def construct_thm2(pattern: GroupSubset, config: SearchConfig) -> Certificate:
     target = ceil_root_power(view.size, projected.size - 1, projected.size) - 1
 
     inner = search_avoider(projected, target, config)
-    bits = preimage_subset(inner.avoiding_set, view).bits
-    chosen_classes = inner.avoiding_set.bits
-    for cls in range(view.size):
-        if not (chosen_classes >> cls) & 1:
-            members = view.class_members(cls)
-            top = max(members)
-            for a in members:
-                if a != top:
-                    bits |= 1 << a
-    candidate = GroupSubset(grp, bits)
+    candidate = _lift(view, inner.avoiding_set.bits)
 
     expected = thm2_lower(grp.size, sub.order, pattern.size) - 1
     if candidate.size != expected:

@@ -18,7 +18,7 @@ class ShiftfreeError(Exception):
 
 
 class InvalidGroupError(ShiftfreeError, ValueError):
-    """Group constructed from an empty or non-positive list of cyclic orders."""
+    """Group built from an empty or non-positive list of orders, or too large."""
 
 
 class DomainMismatchError(ShiftfreeError, ValueError):

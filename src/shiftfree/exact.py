@@ -73,7 +73,14 @@ def min_hitting_set(family: TranslateFamily, *, deadline: float | None = None) -
     return size, GroupSubset(family.group, bits)
 
 
-def _solve_hitting_set(family: TranslateFamily, deadline: float | None) -> tuple[int, int, int]:
+def _solve_hitting_set(
+    family: TranslateFamily, deadline: float | None, limit: int | None = None
+) -> tuple[int, int, int]:
+    """(size, bits, nodes) of a minimum hitting set.
+
+    With a limit, stop at the first hitting set of size <= limit instead of
+    proving a minimum; a returned size above limit means none exists.
+    """
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetExceededError("hitting-set search exceeded its wall-clock budget")
     u = family.universe_size
@@ -106,11 +113,16 @@ def _solve_hitting_set(family: TranslateFamily, deadline: float | None) -> tuple
         best_bits |= 1 << pick
         best_size += 1
         uncovered &= ~elem_sets[pick]
+    if limit is not None:
+        if best_size <= limit:
+            return best_size, best_bits, 0
+        best_size = limit + 1
 
     nodes = 0
     full_universe = (1 << u) - 1
 
-    def dfs(chosen_bits: int, count: int, covered: int, banned: int) -> None:
+    def dfs(chosen_bits: int, count: int, covered: int, banned: int) -> bool:
+        """Search below this node; True once a limited solve may stop."""
         nonlocal best_bits, best_size, nodes
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
@@ -118,10 +130,11 @@ def _solve_hitting_set(family: TranslateFamily, deadline: float | None) -> tuple
         if covered == all_covered:
             if count < best_size:
                 best_size, best_bits = count, chosen_bits
-            return
+                return limit is not None
+            return False
         uncov_count = (all_covered ^ covered).bit_count()
         if count + -(-uncov_count // per_elem) >= best_size:
-            return
+            return False
         # Branch on the uncovered set with the fewest surviving candidates.
         avail = full_universe & ~banned
         branch_j, branch_cands, branch_count = -1, 0, u + 1
@@ -137,15 +150,17 @@ def _solve_hitting_set(family: TranslateFamily, deadline: float | None) -> tuple
                     break
             rem ^= low
         if branch_count == 0:
-            return
+            return False
         b = branch_cands
         local_ban = banned
         while b:
             low = b & -b
             e = low.bit_length() - 1
-            dfs(chosen_bits | low, count + 1, covered | elem_sets[e], local_ban)
+            if dfs(chosen_bits | low, count + 1, covered | elem_sets[e], local_ban):
+                return True
             local_ban |= low
             b ^= low
+        return False
 
     dfs(0, 0, 0, 0)
     return best_size, best_bits, nodes
@@ -158,7 +173,6 @@ class ExactResult:
     n_value: int
     max_avoider: GroupSubset
     min_hitting_set: GroupSubset
-    optimal: bool
     nodes: int
 
 
@@ -182,7 +196,6 @@ def exact_N(
         n_value=g - tau + 1,
         max_avoider=witness.complement(),
         min_hitting_set=witness,
-        optimal=True,
         nodes=nodes,
     )
 

@@ -35,7 +35,6 @@ __all__ = [
     "GroupLike",
     "GroupSubset",
     "Subgroup",
-    "make_group",
     "stabilizer",
     "transversal",
     "quotient_view",
@@ -43,6 +42,9 @@ __all__ = [
     "preimage_subset",
     "subgroup_generated",
 ]
+
+# Every subset is a bitset of |G| bits, so larger groups are refused up front.
+MAX_GROUP_ORDER = 2**24
 
 
 class Group:
@@ -61,6 +63,10 @@ class Group:
         for m in orders:
             strides.append(size)
             size *= m
+        if size > MAX_GROUP_ORDER:
+            raise InvalidGroupError(
+                f"group order {size} exceeds the supported maximum {MAX_GROUP_ORDER}"
+            )
         self.orders = orders
         self.size = size
         self.strides = tuple(strides)
@@ -124,11 +130,6 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group(orders={list(self.orders)})"
-
-
-def make_group(orders: Sequence[int]) -> Group:
-    """Build the direct product of the given cyclic orders."""
-    return Group(orders)
 
 
 class Quotient:

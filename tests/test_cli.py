@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shiftfree
 from shiftfree.cli import format_group, main, parse_group, parse_set
 from shiftfree.errors import DomainMismatchError, ParseError
-from shiftfree.groups import Group
+from shiftfree.groups import MAX_GROUP_ORDER, Group
 
 EXPECTED_TABLE_TEXT = """\
 n=1: =1772
@@ -255,9 +260,11 @@ def test_construct_search_success():
 
 
 def test_construct_search_exhausted_exit_code():
-    code, _, err = run_cli(["construct", "Z4", "{0,1}", "--method", "search", "--target", "3"])
-    assert code == 4
-    assert "error:" in err
+    for group, target in (("Z4", "3"), ("Z48", "25")):
+        argv = ["construct", group, "{0,1}", "--method", "search", "--target", target]
+        code, _, err = run_cli(argv)
+        assert code == 4
+        assert "error:" in err
 
 
 def test_construct_flag_validation():
@@ -355,26 +362,29 @@ def test_usage_errors_exit_one():
     assert run_cli(["bounds", "Z6", "{0}", "--format", "yaml"])[0] == 1
     assert run_cli(["exact", "Z6", "{0,1}", "--seed", "-2"])[0] == 1
     assert run_cli(["exact", "Z6", "{0,1}", "--budget-ms", "0"])[0] == 1
-    assert run_cli(["exact", "Z6", "{0,1}", "--threads", "0"])[0] == 1
 
 
 def test_help_exits_zero():
     assert run_cli(["--help"])[0] == 0
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("SHIFTFREE_THREADS", "3")
-    assert run_cli(["bounds", "Z6", "{0,1}"])[0] == 0
-
-    monkeypatch.setenv("SHIFTFREE_THREADS", "zero")
-    code, _, err = run_cli(["bounds", "Z6", "{0,1}"])
+def test_group_over_order_cap_exits_one():
+    # One past the cap must be refused before any |G|-bit set is built.
+    code, out, err = run_cli(["bounds", f"Z{MAX_GROUP_ORDER + 1}", "{0,1}"])
     assert code == 1
-    assert "SHIFTFREE_THREADS" in err
+    assert out == ""
+    assert err.count("\n") == 1 and str(MAX_GROUP_ORDER) in err
+    assert run_cli(["bounds", "Z1000000000000", "{0,1}"])[0] == 1
 
-    monkeypatch.setenv("SHIFTFREE_THREADS", "0")
-    assert run_cli(["bounds", "Z6", "{0,1}"])[0] == 1
 
-
-def test_threads_flag_overrides_env(monkeypatch):
-    monkeypatch.setenv("SHIFTFREE_THREADS", "junk")
-    assert run_cli(["bounds", "Z6", "{0,1}", "--threads", "2"])[0] == 0
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(shiftfree.__file__).resolve().parents[1]
+    code = "import sys, shiftfree.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

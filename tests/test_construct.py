@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from shiftfree import construct
 from shiftfree.bounds import ceil_root_power, lemma_lower, thm2_lower
 from shiftfree.construct import (
     Certificate,
@@ -14,6 +15,7 @@ from shiftfree.construct import (
     verify_avoids,
 )
 from shiftfree.errors import DomainMismatchError, EmptySetError, SearchExhaustedError
+from shiftfree.exact import naive_exact
 from shiftfree.groups import (
     Group,
     GroupSubset,
@@ -22,6 +24,12 @@ from shiftfree.groups import (
     stabilizer,
     subgroup_generated,
 )
+
+# Every group of order <= 10, one presentation per multiset of factor orders.
+ORDERS_UP_TO_10 = [
+    [1], [2], [3], [4], [2, 2], [5], [6], [2, 3], [7], [8], [2, 4], [2, 2, 2],
+    [9], [3, 3], [10], [2, 5],
+]
 
 
 def contains_translate_anywhere(candidate: GroupSubset, pattern: GroupSubset) -> bool:
@@ -61,8 +69,6 @@ def test_search_config_validation():
         SearchConfig(seed=-1)
     with pytest.raises(ValueError):
         SearchConfig(seed=2**64)
-    with pytest.raises(ValueError):
-        SearchConfig(max_repair_steps=0)
 
 
 # -- verifier -------------------------------------------------------------------
@@ -212,6 +218,36 @@ def test_search_avoider_exhausts_when_no_set_exists():
     s = GroupSubset.from_indices(Group([4]), [0, 1])
     with pytest.raises(SearchExhaustedError):
         search_avoider(s, 3, SearchConfig(seed=0))
+
+
+def test_search_avoider_fallback_matches_naive_oracle(monkeypatch):
+    # With the random and repair phases switched off, the bounded hitting-set
+    # fallback alone must find an avoider exactly when one exists.  One
+    # pattern per translation orbit: translates share every avoider size.
+    monkeypatch.setattr(construct, "MAX_RANDOM_RESTARTS", 0)
+    monkeypatch.setattr(construct, "MAX_REPAIR_STEPS", 0)
+    checked = 0
+    for orders in ORDERS_UP_TO_10:
+        grp = Group(orders)
+        seen = set()
+        for bits in range(1, 1 << grp.size):
+            if bits in seen:
+                continue
+            pattern = GroupSubset(grp, bits)
+            seen.update(pattern.translate(t).bits for t in range(grp.size))
+            if stabilizer(pattern).order != 1:
+                continue
+            largest = naive_exact(pattern) - 1
+            for target in range(1, grp.size + 1):
+                if target > largest:
+                    with pytest.raises(SearchExhaustedError):
+                        search_avoider(pattern, target, SearchConfig())
+                    continue
+                cert = search_avoider(pattern, target, SearchConfig())
+                assert cert.verified and cert.size == target
+                assert not contains_translate_anywhere(cert.avoiding_set, pattern)
+                checked += 1
+    assert checked == 2555  # feasible (pattern, target) pairs; 1,348 more must exhaust
 
 
 def test_search_avoider_is_deterministic_per_seed():

@@ -12,11 +12,11 @@ from shiftfree.errors import (
     NotCosetUnionError,
 )
 from shiftfree.groups import (
+    MAX_GROUP_ORDER,
     Group,
     GroupSubset,
     Quotient,
     Subgroup,
-    make_group,
     preimage_subset,
     project_subset,
     quotient_view,
@@ -42,25 +42,30 @@ def brute_stabilizer(subset: GroupSubset) -> set[int]:
 
 
 def test_make_group_sizes():
-    assert make_group([2024]).size == 2024
-    assert make_group([1]).size == 1
-    assert make_group([2, 3]).size == 6
-    assert make_group([4, 2]).orders == (4, 2)
+    assert Group([2024]).size == 2024
+    assert Group([1]).size == 1
+    assert Group([2, 3]).size == 6
+    assert Group([4, 2]).orders == (4, 2)
 
 
 def test_make_group_keeps_order_one_factors():
-    grp = make_group([1, 4])
+    grp = Group([1, 4])
     assert grp.size == 4
     assert grp.coords(3) == (0, 3)
 
 
 def test_make_group_rejects_bad_orders():
     with pytest.raises(InvalidGroupError):
-        make_group([])
+        Group([])
     with pytest.raises(InvalidGroupError):
-        make_group([0])
+        Group([0])
     with pytest.raises(InvalidGroupError):
-        make_group([3, -2])
+        Group([3, -2])
+    assert Group([MAX_GROUP_ORDER]).size == MAX_GROUP_ORDER
+    with pytest.raises(InvalidGroupError):
+        Group([MAX_GROUP_ORDER + 1])
+    with pytest.raises(InvalidGroupError):
+        Group([2**12, 2**12, 2])
 
 
 # -- element arithmetic --------------------------------------------------------
