@@ -2,7 +2,7 @@
 
 For a group G and a nonempty pattern S, the threshold N is the least size at
 which every N-element subset of G contains a translate g + S.  The library
-computes N exactly on small groups (minimum hitting set over the translate
+computes N exactly when G/H is small (minimum hitting set over the translate
 family), evaluates four proven bounds in exact integer arithmetic, and builds
 certified avoiding sets witnessing the lower bounds.
 """

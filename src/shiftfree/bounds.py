@@ -1,10 +1,9 @@
 """Lower and upper bounds on the forced-translate threshold N.
 
 For a finite abelian group G and a nonempty pattern S with stabilizer H (so S
-is a union of H-cosets, h = |H| divides s = |S| divides nothing in particular,
-and h divides g = |G|), N is the least size at which every subset of G of that
-size contains some translate of S.  Four bounds are computed, all in exact
-integer arithmetic:
+is a union of H-cosets and h = |H| divides both s = |S| and g = |G|), N is
+the least size at which every subset of G of that size contains some
+translate of S.  Four bounds are computed, all in exact integer arithmetic:
 
   thm1_lower   g - g/h + 1        puncture one element of every H-coset
   lemma_lower  ceil(h^(1/s) g^(1-1/s))      probabilistic counting

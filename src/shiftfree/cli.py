@@ -18,10 +18,10 @@ import json
 import re
 import sys
 import time
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
-from .bounds import BoundsReport, bounds_report, upper_bound
+from .bounds import BoundsReport, bounds_report
 from .construct import SearchConfig, construct_thm1, construct_thm2, search_avoider, verify_avoids
 from .errors import (
     BudgetExceededError,
@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     SearchExhaustedError,
 )
-from .exact import DEFAULT_BUDGET_MS, ExactResult, exact_N
+from .exact import DEFAULT_BUDGET_MS, exact_N
 from .groups import Group, GroupSubset, stabilizer, subgroup_generated
 
 __all__ = ["main", "run", "parse_group", "format_group", "parse_set"]
@@ -129,8 +129,7 @@ def _parse_cosets(text: str, group: Group) -> GroupSubset:
     match = _COSETS_RE.match(text)
     if not match:
         raise ParseError(f"unrecognized coset spec {text!r}")
-    nontrivial = [(i, m) for i, m in enumerate(group.orders) if m > 1]
-    if len(nontrivial) > 1:
+    if sum(m > 1 for m in group.orders) > 1:
         raise ParseError("cosets(...) specs are only defined for cyclic groups")
     order = int(match.group(1))
     reps = [int(p) for p in match.group(2).split(",") if p.strip()]
@@ -138,17 +137,17 @@ def _parse_cosets(text: str, group: Group) -> GroupSubset:
         raise ParseError(f"coset spec {text!r} lists no representatives")
     if order < 1 or group.size % order != 0:
         raise ParseError(f"subgroup order {order} does not divide the group order {group.size}")
-    if group.size == 1:
-        generator = 0
-    else:
-        axis, factor = nontrivial[0]
-        generator = ((group.size // order) % factor) * group.strides[axis]
-    sub = subgroup_generated(group, [generator])
-    coset = GroupSubset(group, sub.bits)
+    return _coset_union(group, order, reps)
+
+
+def _coset_union(group: Group, order: int, reps: Iterable[int]) -> GroupSubset:
+    """Union of the cosets r + H over reps, H the order-`order` subgroup of a cyclic group."""
+    # The one nontrivial factor has stride 1, so flat index g/order generates H.
+    sub = subgroup_generated(group, [group.size // order % group.size])
     bits = 0
     for r in reps:
         group.check_element(r)
-        bits |= coset.translate(r).bits
+        bits |= sub.translate(r).bits
     return GroupSubset(group, bits)
 
 
@@ -195,6 +194,15 @@ def _set_text(subset: GroupSubset) -> str:
     return "{" + ", ".join(map(str, subset.indices())) + "}"
 
 
+def _header(group: Group, subset: GroupSubset) -> list[str]:
+    """The group, legend and set lines that open every single-pattern text output."""
+    return [
+        f"group: {format_group(group)} (order {group.size})",
+        f"legend: {_legend(group)}",
+        f"set: {_set_text(subset)} (size {subset.size})",
+    ]
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -214,10 +222,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     }
 
     def text(doc: dict) -> list[str]:
-        lines = [
-            f"group: {format_group(group)} (order {group.size})",
-            f"legend: {_legend(group)}",
-            f"set: {_set_text(subset)} (size {subset.size})",
+        lines = _header(group, subset) + [
             f"stabilizer: {_set_text(sub)} (order {sub.order})",
             f"transversal size: {report.transversal_size}",
         ]
@@ -245,10 +250,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     }
 
     def text(doc: dict) -> list[str]:
-        lines = [
-            f"group: {format_group(group)} (order {group.size})",
-            f"legend: {_legend(group)}",
-            f"set: {_set_text(subset)} (size {subset.size})",
+        lines = _header(group, subset) + [
             f"stabilizer: {_set_text(sub)} (order {sub.order})",
             "bounds: " + " ".join(f"{k}={doc['bounds'][k]}" for k in BOUND_KEYS),
         ]
@@ -264,28 +266,15 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         return lines
 
     started = time.monotonic()
-    if report.s == report.h:
-        # The pattern is a single coset of its stabilizer, where the bounds
-        # close: N = (s-1)/s * g + 1 exactly, no search needed.
-        cert = construct_thm1(subset)
-        result = ExactResult(
-            n_value=upper_bound(report.group_size, report.s),
-            max_avoider=cert.avoiding_set,
-            min_hitting_set=cert.avoiding_set.complement(),
-            nodes=0,
-        )
-        method = "corollary"
-    else:
-        try:
-            result = exact_N(subset, budget_ms=args.budget_ms)
-        except BudgetExceededError as exc:
-            _emit(args, doc, text)
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        method = "hitting-set"
+    try:
+        result = exact_N(subset, budget_ms=args.budget_ms)
+    except BudgetExceededError as exc:
+        _emit(args, doc, text)
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     doc["exact"] = {
         "n": result.n_value,
-        "method": method,
+        "method": "corollary" if report.s == report.h else "hitting-set",
         "avoider": result.max_avoider.indices(),
         "hitting_set": result.min_hitting_set.indices(),
         "nodes": result.nodes,
@@ -326,10 +315,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
     def text(doc: dict) -> list[str]:
         cd = doc["certificate"]
-        return [
-            f"group: {format_group(group)} (order {group.size})",
-            f"legend: {_legend(group)}",
-            f"set: {_set_text(subset)} (size {subset.size})",
+        return _header(group, subset) + [
             f"method: {cd['method']}",
             f"avoider: {{{', '.join(map(str, cd['elements']))}}} (size {cd['size']})",
             f"verified: {str(cd['verified']).lower()}",
@@ -354,10 +340,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
 
     def text(doc: dict) -> list[str]:
-        lines = [
-            f"group: {format_group(group)} (order {group.size})",
-            f"legend: {_legend(group)}",
-            f"set: {_set_text(subset)} (size {subset.size})",
+        lines = _header(group, subset) + [
             f"candidate: {_set_text(candidate)} (size {candidate.size})",
             f"verified: {str(cert.verified).lower()}",
         ]
@@ -372,14 +355,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _table_rows() -> tuple[Group, list[dict]]:
     group = Group([2024])
-    sub = subgroup_generated(group, [group.size // 8])
-    coset = GroupSubset(group, sub.bits)
     rows = []
     for n in range(1, 11):
-        bits = 0
-        for rep in range(n):
-            bits |= coset.translate(rep).bits
-        report = bounds_report(GroupSubset(group, bits))
+        report = bounds_report(_coset_union(group, 8, range(n)))
         rows.append(
             {
                 "n": n,
@@ -426,8 +404,6 @@ def _emit(args: argparse.Namespace, doc: dict, text_fn, csv_fn=None) -> None:
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":
-        if csv_fn is None:
-            raise ParseError("csv format is only available for the table command")
         sys.stdout.write(csv_fn(doc))
     else:
         print("\n".join(text_fn(doc)))
@@ -512,6 +488,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    if args.format == "csv" and args.command != "table":
+        print("error: csv format is only available for the table command", file=sys.stderr)
+        return 1
     try:
         return args.handler(args)
     except (

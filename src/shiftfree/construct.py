@@ -15,7 +15,7 @@ from typing import Optional
 from .bounds import ceil_root_power, thm2_lower
 from .errors import DomainMismatchError, EmptySetError, SearchExhaustedError
 from .exact import _solve_hitting_set, translate_family
-from .groups import GroupSubset, Quotient, project_subset, quotient_view, stabilizer
+from .groups import GroupSubset, _lift, project_subset, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -86,16 +86,6 @@ def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
         if pattern.translate(g).bits & ~cand == 0:
             return Certificate(candidate, pattern, verified=False, witness=g)
     return Certificate(candidate, pattern, verified=True, witness=None)
-
-
-def _lift(view: Quotient, classes: int) -> GroupSubset:
-    """Full preimage of the chosen classes plus every other coset minus its max flat index."""
-    top = {cls: a for a, cls in enumerate(view.projection)}  # ascending a: the max wins
-    bits = (1 << view.base.size) - 1
-    for cls, a in top.items():
-        if not (classes >> cls) & 1:
-            bits ^= 1 << a
-    return GroupSubset(view.base, bits)
 
 
 def construct_thm1(pattern: GroupSubset) -> Certificate:

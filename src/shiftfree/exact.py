@@ -1,10 +1,17 @@
-"""Exact N values via minimum hitting set over the translate family.
+"""Exact N values via a minimum hitting set of the translate family on G/H.
 
 A subset B avoids every translate of S iff its complement meets every
 translate, so the largest avoiding set is |G| minus the minimum hitting set
 of the family {g + S : g in T} with T a stabilizer transversal (translates
 repeat inside a stabilizer coset, so the transversal family is the whole
 family).  N is then |G| - tau + 1.
+
+Every translate is a union of cosets of the stabilizer H, so a set hits it
+iff its image in G/H does: N(G, S) = g - g/h + N(G/H, S/H).  exact_N solves
+on the quotient by masking every family set to one element per H-coset (its
+max flat index, the one construct_thm1 punctures), so the search has |G/H|
+candidates and the order cap applies to |G/H|.  A single coset of H needs no
+search: every translate is one coset, hit by its one maximum.
 
 The solver is a sequential branch and bound: greedy incumbent first, then
 depth-first branching on an uncovered set with the fewest remaining candidate
@@ -23,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, EmptySetError
-from .groups import GroupLike, GroupSubset, quotient_view, stabilizer
+from .groups import GroupLike, GroupSubset, _lift, quotient_view, stabilizer
 
 __all__ = [
     "TranslateFamily",
@@ -45,16 +52,10 @@ class TranslateFamily:
 
     universe_size: int
     sets: tuple[GroupSubset, ...]
-    set_size: int
 
     @property
     def group(self) -> GroupLike:
         return self.sets[0].group
-
-    @property
-    def sets_per_element(self) -> int:
-        """How many family sets contain any fixed element: |S|/|H|, exactly."""
-        return self.set_size * len(self.sets) // self.universe_size
 
 
 def translate_family(pattern: GroupSubset) -> TranslateFamily:
@@ -64,7 +65,7 @@ def translate_family(pattern: GroupSubset) -> TranslateFamily:
     grp = pattern.group
     view = quotient_view(grp, stabilizer(pattern))
     sets = tuple(pattern.translate(t) for t in view.representatives)
-    return TranslateFamily(universe_size=grp.size, sets=sets, set_size=pattern.size)
+    return TranslateFamily(universe_size=grp.size, sets=sets)
 
 
 def min_hitting_set(family: TranslateFamily, *, deadline: float | None = None) -> tuple[int, GroupSubset]:
@@ -182,19 +183,38 @@ def exact_N(
     max_order: int = DEFAULT_MAX_ORDER,
     budget_ms: int | None = DEFAULT_BUDGET_MS,
 ) -> ExactResult:
-    """Exact threshold N for the pattern, or BudgetExceededError; never partial."""
+    """Exact threshold N for the pattern, or BudgetExceededError; never partial.
+
+    max_order caps |G/H|; a single coset of the stabilizer H needs no search.
+    """
     if pattern.bits == 0:
         raise EmptySetError("exact solve needs a nonempty pattern")
-    g = pattern.group.size
-    if g > max_order:
-        raise BudgetExceededError(f"group order {g} exceeds the exact-solver cap {max_order}")
+    grp, g = pattern.group, pattern.group.size
+    sub = stabilizer(pattern)
+    one_coset = pattern.size == sub.order
+    if not one_coset and g // sub.order > max_order:
+        raise BudgetExceededError(
+            f"quotient order {g // sub.order} exceeds the exact-solver cap {max_order}"
+        )
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    family = translate_family(pattern)
-    tau, witness_bits, nodes = _solve_hitting_set(family, deadline)
-    witness = GroupSubset(pattern.group, witness_bits)
+    view = quotient_view(grp, sub)
+    maxima = _lift(view, 0).complement().bits  # one element per H-coset
+    if one_coset:
+        # Each translate is one H-coset, hit by its one maximum.  Translates are
+        # checked one at a time: all g/h of them would take g*g/h bits.
+        tau, witness_bits, nodes = view.size, maxima, 0
+        translates = map(pattern.translate, view.representatives)
+    else:
+        translates = translate_family(pattern).sets
+        masked = tuple(GroupSubset(grp, t.bits & maxima) for t in translates)
+        tau, witness_bits, nodes = _solve_hitting_set(TranslateFamily(g, masked), deadline)
+    witness = GroupSubset(grp, witness_bits)
+    avoider = witness.complement()
+    if any(t.is_subset_of(avoider) for t in translates):
+        raise AssertionError("exact avoider contains a translate of the pattern; this is a bug")
     return ExactResult(
         n_value=g - tau + 1,
-        max_avoider=witness.complement(),
+        max_avoider=avoider,
         min_hitting_set=witness,
         nodes=nodes,
     )

@@ -383,6 +383,16 @@ def preimage_subset(class_subset: GroupSubset, view: Quotient) -> GroupSubset:
     return GroupSubset(view.base, bits)
 
 
+def _lift(view: Quotient, classes: int) -> GroupSubset:
+    """Full preimage of the chosen classes plus every other coset minus its max flat index."""
+    top = {cls: a for a, cls in enumerate(view.projection)}  # ascending a: the max wins
+    bits = (1 << view.base.size) - 1
+    for cls, a in top.items():
+        if not (classes >> cls) & 1:
+            bits ^= 1 << a
+    return GroupSubset(view.base, bits)
+
+
 def subgroup_generated(group: GroupLike, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators, by closure iteration."""
     bits = 1  # the zero element

@@ -13,6 +13,7 @@ import pytest
 import shiftfree
 from shiftfree.cli import format_group, main, parse_group, parse_set
 from shiftfree.errors import DomainMismatchError, ParseError
+from shiftfree.exact import exact_N
 from shiftfree.groups import MAX_GROUP_ORDER, Group
 
 EXPECTED_TABLE_TEXT = """\
@@ -201,6 +202,30 @@ def test_exact_corollary_fast_path():
     assert doc["exact"]["method"] == "corollary"
     assert doc["exact"]["nodes"] == 0
     assert len(doc["exact"]["avoider"]) == 1771
+    code, out, _ = run_cli(["construct", "Z2024", "cosets(order=8; reps=0)", "--method", "thm1",
+                            "--format", "json"])
+    assert code == 0
+    assert doc["exact"]["avoider"] == json.loads(out)["certificate"]["elements"]
+
+
+def test_exact_cli_matches_library():
+    # One exact path: the command prints what exact_N returns, including
+    # coset unions of order above the cap whose quotient is under it.
+    for spec, pattern, method in (
+        ("Z2024", "cosets(order=8; reps=0)", "corollary"),
+        ("Z320", "cosets(order=8; reps=0,1,3)", "hitting-set"),
+        ("Z2xZ6", "{0,1,2,3}", "hitting-set"),
+    ):
+        code, out, _ = run_cli(["exact", spec, pattern, "--format", "json"])
+        assert code == 0
+        result = exact_N(parse_set(pattern, parse_group(spec)))
+        assert json.loads(out)["exact"] == {
+            "n": result.n_value,
+            "method": method,
+            "avoider": result.max_avoider.indices(),
+            "hitting_set": result.min_hitting_set.indices(),
+            "nodes": result.nodes,
+        }
 
 
 def test_exact_corollary_small():
@@ -353,6 +378,11 @@ def test_csv_only_for_table():
     code, _, err = run_cli(["bounds", "Z6", "{0,1}", "--format", "csv"])
     assert code == 1
     assert "csv" in err
+    # Refused before any work: no exact solve runs.
+    code, out, err = run_cli(["exact", "Z30", "{0,1,3,5,7}", "--format", "csv"])
+    assert code == 1
+    assert out == ""
+    assert "csv" in err and "solve time" not in err
 
 
 def test_usage_errors_exit_one():

@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from shiftfree.bounds import bounds_report
-from shiftfree.construct import verify_avoids
+from shiftfree.construct import construct_thm1, verify_avoids
 from shiftfree.errors import BudgetExceededError, EmptySetError
 from shiftfree.exact import (
     DEFAULT_MAX_ORDER,
@@ -17,7 +18,7 @@ from shiftfree.exact import (
     naive_exact,
     translate_family,
 )
-from shiftfree.groups import Group, GroupSubset
+from shiftfree.groups import Group, GroupSubset, stabilizer, subgroup_generated
 
 
 def brute_min_hitting_size(family: TranslateFamily) -> int:
@@ -28,6 +29,26 @@ def brute_min_hitting_size(family: TranslateFamily) -> int:
             if all(chosen & s for s in sets):
                 return k
     raise AssertionError("the full universe always hits")
+
+
+def presentations(n: int) -> list[list[int]]:
+    """Every ordered tuple of cyclic factors >= 2 with product n; [1] for n = 1."""
+    if n == 1:
+        return [[1]]
+    out = [[n]]
+    for f in range(2, n):
+        if n % f == 0:
+            out += [[f] + rest for rest in presentations(n // f)]
+    return out
+
+
+def coset_union(group: Group, order: int, reps: list[int]) -> GroupSubset:
+    """Union of r + H over reps, H the order-`order` subgroup of a cyclic group."""
+    sub = subgroup_generated(group, [group.size // order])
+    bits = 0
+    for r in reps:
+        bits |= sub.translate(r).bits
+    return GroupSubset(group, bits)
 
 
 # -- translate family ------------------------------------------------------------
@@ -59,7 +80,7 @@ def test_translate_family_regularity():
             fam = translate_family(pattern)
             for a in grp.elements():
                 hits = sum(1 for s in fam.sets if a in s)
-                assert hits == fam.sets_per_element
+                assert hits == pattern.size // stabilizer(pattern).order
 
 
 def test_translate_family_rejects_empty():
@@ -181,6 +202,45 @@ def test_exact_n_adjacent_pair_closed_form():
         assert result.n_value == g // 2 + 1
 
 
+def test_exact_n_quotient_path_matches_naive_oracle_exhaustive():
+    # The search runs on G/H, so only a nontrivial stabilizer exercises the
+    # reduction: every such pattern holding 0, in every presentation of order
+    # <= 12, against the oracle, with the avoider checked independently.
+    checked = 0
+    for n in range(1, 13):
+        for orders in presentations(n):
+            grp = Group(orders)
+            for bits in range(1, 1 << grp.size, 2):
+                pattern = GroupSubset(grp, bits)
+                if stabilizer(pattern).order == 1:
+                    continue
+                result = exact_N(pattern)
+                assert result.n_value == naive_exact(pattern), pattern
+                assert result.max_avoider.size == result.n_value - 1
+                assert verify_avoids(result.max_avoider, pattern).verified, pattern
+                checked += 1
+    assert checked == 752
+
+
+def test_exact_n_single_coset_at_any_order():
+    # A single coset needs no search, so the quotient cap does not apply.
+    pattern = coset_union(Group([2024]), 8, [0])
+    result = exact_N(pattern)
+    assert result.n_value == 1772
+    assert result.nodes == 0
+    assert result.max_avoider == construct_thm1(pattern).avoiding_set
+
+
+def test_exact_n_coset_union_solves_on_the_quotient():
+    # N(G, S) = g - g/h + N(G/H, S/H): Z320 mod its order-8 subgroup is Z40.
+    z40 = Group([40])
+    for reps, expected in (([0, 1], 301), ([0, 1, 3], 305)):
+        result = exact_N(coset_union(Group([320]), 8, reps))
+        quotient = exact_N(GroupSubset.from_indices(z40, reps))
+        assert result.n_value == expected == 320 - 40 + quotient.n_value
+        assert result.nodes == quotient.nodes
+
+
 # -- budgets --------------------------------------------------------------------
 
 
@@ -188,6 +248,11 @@ def test_exact_n_order_cap():
     grp = Group([DEFAULT_MAX_ORDER + 1])
     with pytest.raises(BudgetExceededError):
         exact_N(GroupSubset.from_indices(grp, [0, 1]))
+    # Refused before any quotient or translate family is built.
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="quotient order 16777216"):
+        exact_N(GroupSubset.from_indices(Group([2**24]), [0, 1]))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_exact_n_zero_budget_never_returns_partial():
