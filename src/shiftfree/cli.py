@@ -5,8 +5,8 @@ either an explicit list "{0, 1, 5}" (coordinate tuples like "(1,1)" allowed)
 or, for cyclic groups, a coset union "cosets(order=8; reps=0,1)".  Output is
 text, json, or csv (csv for the table command only); the machine-readable
 document goes to stdout, diagnostics to stderr.  Exit codes: 0 success or
-verified, 1 usage or parse failure, 2 verification failed, 3 budget exceeded,
-4 search exhausted.
+verified, 1 usage or parse failure, 2 verification failed, 3 budget exceeded
+(including out of memory), 4 search exhausted, 5 internal error.
 """
 
 from __future__ import annotations
@@ -510,6 +510,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SearchExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
+    except AssertionError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 5
 
 
 def run() -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import ceil_root_power, thm2_lower
-from .errors import DomainMismatchError, EmptySetError, SearchExhaustedError
+from .errors import BudgetExceededError, DomainMismatchError, EmptySetError, SearchExhaustedError
 from .exact import _solve_hitting_set, translate_family
 from .groups import GroupSubset, _lift, project_subset, quotient_view, stabilizer
 
@@ -50,11 +50,13 @@ class Certificate:
         return self.avoiding_set.size
 
 
-# Search budgets: random samples, repair steps, and the largest group the
-# hitting-set fallback is tried on.
+# Search budgets: random samples, repair steps, the largest group the
+# hitting-set fallback is tried on, and the largest group searched at all (the
+# search keeps all g translate masks, g bits each).
 MAX_RANDOM_RESTARTS = 64
 MAX_REPAIR_STEPS = 2000
 EXACT_FALLBACK_LIMIT = 64
+MAX_SEARCH_ORDER = 2**14
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,13 @@ def construct_thm1(pattern: GroupSubset) -> Certificate:
     return cert
 
 
+def _check_search_order(order: int) -> None:
+    if order > MAX_SEARCH_ORDER:
+        raise BudgetExceededError(
+            f"quotient order {order} exceeds the avoider-search cap {MAX_SEARCH_ORDER}"
+        )
+
+
 def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig) -> Certificate:
     """Find a verified avoiding set of exactly target_size elements.
 
@@ -110,13 +119,15 @@ def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig)
     data, where that always holds).  Strategy: uniform random subsets, then
     local repair of the last sample, then, when the group is small enough, a
     hitting-set solve bounded by |G| - target_size whose complement is
-    trimmed to size; raises SearchExhaustedError otherwise.  The whole
-    schedule is a pure function of config.seed.
+    trimmed to size; raises SearchExhaustedError otherwise.  Groups above
+    MAX_SEARCH_ORDER raise BudgetExceededError.  The whole schedule is a pure
+    function of config.seed.
     """
     if pattern.bits == 0:
         raise EmptySetError("search needs a nonempty pattern")
     grp = pattern.group
     g = grp.size
+    _check_search_order(g)
     if stabilizer(pattern).order != 1:
         raise ValueError("search_avoider requires a trivial stabilizer; pass quotient data")
     if not 0 <= target_size <= g:
@@ -183,12 +194,14 @@ def construct_thm2(pattern: GroupSubset, config: SearchConfig) -> Certificate:
     classes avoiding the projected pattern, take its full preimage, and adjoin
     every other coset minus its maximum flat index.  A translate of the
     pattern is a union of H-cosets; its class set is a quotient translate, so
-    it meets a punctured coset and cannot fit.
+    it meets a punctured coset and cannot fit.  A quotient above
+    MAX_SEARCH_ORDER raises BudgetExceededError before the quotient is built.
     """
     if pattern.bits == 0:
         raise EmptySetError("construction needs a nonempty pattern")
     grp = pattern.group
     sub = stabilizer(pattern)
+    _check_search_order(grp.size // sub.order)
     view = quotient_view(grp, sub)
     projected = project_subset(pattern, view)
     target = ceil_root_power(view.size, projected.size - 1, projected.size) - 1

@@ -42,7 +42,7 @@ class ParseError(ShiftfreeError, ValueError):
 
 
 class BudgetExceededError(ShiftfreeError, RuntimeError):
-    """Exact solve aborted: group too large or wall-clock budget exhausted."""
+    """Exact solve or avoider search refused: group too large or wall-clock budget exhausted."""
 
 
 class SearchExhaustedError(ShiftfreeError, RuntimeError):

@@ -19,6 +19,15 @@ elements, elements in ascending flat order, with the admissible bound
 ceil(uncovered / max_sets_per_element).  Every element of G lies in exactly
 |S|/|H| family sets, which makes that bound exact to compute.
 
+The search starts with the lowest candidate element z already chosen.  Every
+family solved here is closed under a group of symmetries that moves any
+candidate onto any other: G acts on its translate family, and G/H acts on the
+masked family through the coset <-> maximum bijection.  A symmetry maps a
+hitting set to a hitting set of the same size, so whenever one of some size
+exists, one of that size contains z.  The search below z is therefore
+complete, for the minimum and for a size limit alike, and the root's
+equivalent branches are not searched again.
+
 naive_exact is the independent oracle: it enumerates all 2^|G| subsets and
 checks all |G| translates with plain set arithmetic, no transversal, no
 bitsets, no duality.  It exists to disagree with exact_N if either is wrong.
@@ -48,7 +57,14 @@ NAIVE_MAX_ORDER = 16
 
 @dataclass(frozen=True)
 class TranslateFamily:
-    """The distinct translates of one pattern, indexed by transversal order."""
+    """The distinct translates of one pattern, indexed by transversal order.
+
+    min_hitting_set relies on one invariant: the family is closed under a
+    group of symmetries acting transitively on the elements its sets cover
+    (translation by G for a translate family, G/H for exact_N's family masked
+    to one maximum per coset).  Without it the returned set can exceed the
+    minimum.
+    """
 
     universe_size: int
     sets: tuple[GroupSubset, ...]
@@ -163,7 +179,10 @@ def _solve_hitting_set(
             b ^= low
         return False
 
-    dfs(0, 0, 0, 0)
+    # Some hitting set of every achievable size holds the lowest candidate z:
+    # the family's symmetries move any candidate onto z (module docstring).
+    z = next(e for e in range(u) if elem_sets[e])
+    dfs(1 << z, 1, elem_sets[z], 0)
     return best_size, best_bits, nodes
 
 

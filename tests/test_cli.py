@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import shiftfree
+from shiftfree import cli, construct
 from shiftfree.cli import format_group, main, parse_group, parse_set
 from shiftfree.errors import DomainMismatchError, ParseError
 from shiftfree.exact import exact_N
@@ -228,6 +230,16 @@ def test_exact_cli_matches_library():
         }
 
 
+def test_exact_root_fix_cuts_nodes():
+    # Fixing one element at the root leaves one of the root's equivalent
+    # branches; the search without it took 38,014 nodes here.
+    code, out, _ = run_cli(["exact", "Z36", "{0,1,4,9}", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact"]["n"] == 25
+    assert doc["exact"]["nodes"] < 38_014
+
+
 def test_exact_corollary_small():
     code, out, _ = run_cli(["exact", "Z4", "{0,2}", "--format", "json"])
     assert code == 0
@@ -290,6 +302,17 @@ def test_construct_search_exhausted_exit_code():
         code, _, err = run_cli(argv)
         assert code == 4
         assert "error:" in err
+
+
+def test_construct_over_search_cap_exits_three():
+    # thm2 searches the quotient, here all of Z1048576: refused before the
+    # quotient or any translate mask is built.
+    started = time.monotonic()
+    code, out, err = run_cli(["construct", "Z1048576", "{0,1,5}"])
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "1048576" in err
 
 
 def test_construct_flag_validation():
@@ -392,6 +415,31 @@ def test_usage_errors_exit_one():
     assert run_cli(["bounds", "Z6", "{0}", "--format", "yaml"])[0] == 1
     assert run_cli(["exact", "Z6", "{0,1}", "--seed", "-2"])[0] == 1
     assert run_cli(["exact", "Z6", "{0,1}", "--budget-ms", "0"])[0] == 1
+
+
+def test_internal_error_exits_five(monkeypatch):
+    # A construction that fails its own verification is a bug: exit 5 with
+    # one line on stderr, never a traceback.
+    def unverified(candidate, pattern):
+        return construct.Certificate(candidate, pattern, verified=False, witness=0)
+
+    monkeypatch.setattr(construct, "verify_avoids", unverified)
+    code, out, err = run_cli(["construct", "Z4", "{0,2}", "--method", "thm1"])
+    assert code == 5
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: internal error")
+    assert "Traceback" not in err
+
+
+def test_memory_error_exits_three(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "exact_N", exhausted)
+    code, out, err = run_cli(["exact", "Z6", "{0,1}"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_help_exits_zero():

@@ -14,7 +14,12 @@ from shiftfree.construct import (
     search_avoider,
     verify_avoids,
 )
-from shiftfree.errors import DomainMismatchError, EmptySetError, SearchExhaustedError
+from shiftfree.errors import (
+    BudgetExceededError,
+    DomainMismatchError,
+    EmptySetError,
+    SearchExhaustedError,
+)
 from shiftfree.exact import naive_exact
 from shiftfree.groups import (
     Group,
@@ -269,6 +274,14 @@ def test_search_avoider_input_checks():
         search_avoider(pair, 5, SearchConfig())  # target above |G|
     with pytest.raises(EmptySetError):
         search_avoider(GroupSubset.empty(grp), 1, SearchConfig())
+
+
+def test_search_avoider_refuses_groups_above_search_cap():
+    # The search keeps all g translate masks; above the cap it must refuse
+    # before building any of them.
+    grp = Group([32768])  # twice the cap
+    with pytest.raises(BudgetExceededError, match=str(grp.size)):
+        search_avoider(GroupSubset.from_indices(grp, [0, 1, 5]), 10, SearchConfig())
 
 
 # -- quotient-lift construction ---------------------------------------------

@@ -222,6 +222,30 @@ def test_exact_n_quotient_path_matches_naive_oracle_exhaustive():
     assert checked == 752
 
 
+def test_exact_n_trivial_stabilizer_matches_naive_oracle_exhaustive():
+    # The search fixes the lowest candidate at its root, which is valid only
+    # because the family is translation-invariant.  One pattern per
+    # translation orbit holding 0, in every presentation of order <= 11.
+    checked = 0
+    for n in range(1, 12):
+        for orders in presentations(n):
+            grp = Group(orders)
+            seen = set()
+            for bits in range(1, 1 << grp.size, 2):
+                if bits in seen:
+                    continue
+                pattern = GroupSubset(grp, bits)
+                seen.update(pattern.translate(t).bits for t in range(grp.size))
+                if stabilizer(pattern).order != 1:
+                    continue
+                result = exact_N(pattern)
+                assert result.n_value == naive_exact(pattern), pattern
+                assert result.max_avoider.size == result.n_value - 1
+                assert verify_avoids(result.max_avoider, pattern).verified, pattern
+                checked += 1
+    assert checked == 760
+
+
 def test_exact_n_single_coset_at_any_order():
     # A single coset needs no search, so the quotient cap does not apply.
     pattern = coset_union(Group([2024]), 8, [0])
