@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .construct import (
     Certificate,
-    SearchConfig,
     construct_thm1,
     construct_thm2,
     search_avoider,
@@ -81,7 +80,6 @@ __all__ = [
     "proposition_check",
     "proposition_margin_grid",
     "Certificate",
-    "SearchConfig",
     "verify_avoids",
     "construct_thm1",
     "construct_thm2",

@@ -152,8 +152,14 @@ def bounds_report(subset: GroupSubset) -> BoundsReport:
     )
 
 
-def proposition_check(g: float, h: float, s: float, tolerance: float = 1e-9) -> bool:
-    """Check (h-1)/h*g + (g/h)**(1-h/s) >= h**(1/s)*g**(1-1/s) - tolerance.
+# Slack allowed below zero by proposition_check, and the rows of g values one
+# vectorized step of proposition_margin_grid evaluates (this bounds its memory).
+PROPOSITION_TOLERANCE = 1e-9
+MARGIN_GRID_CHUNK = 256
+
+
+def proposition_check(g: float, h: float, s: float) -> bool:
+    """Check (h-1)/h*g + (g/h)**(1-h/s) >= h**(1/s)*g**(1-1/s) - PROPOSITION_TOLERANCE.
 
     Real-valued inputs with g >= h >= 1 and s >= 1; this is the floating-point
     margin test, not a proof.
@@ -162,15 +168,10 @@ def proposition_check(g: float, h: float, s: float, tolerance: float = 1e-9) -> 
         raise ValueError(f"need h >= 1 and s >= 1, got h={h}, s={s}")
     if g < h:
         raise ValueError(f"need g >= h, got g={g}, h={h}")
-    return _margin(float(g), float(h), float(s)) >= -tolerance
+    return _margin(float(g), float(h), float(s)) >= -PROPOSITION_TOLERANCE
 
 
-def proposition_margin_grid(
-    h: int,
-    g_max: int,
-    s_values: "numpy.ndarray",
-    chunk: int = 256,
-) -> float:
+def proposition_margin_grid(h: int, g_max: int, s_values: "numpy.ndarray") -> float:
     """Minimum margin of the thm2-vs-lemma real inequality over a dense grid.
 
     Evaluates every g in {h, 2h, ..., <= g_max} against every s in s_values
@@ -187,8 +188,8 @@ def proposition_margin_grid(
         raise ValueError("s_values must be nonempty with every entry >= 1")
     g_all = np.arange(h, g_max + 1, h, dtype=np.float64)
     worst = np.inf
-    for start in range(0, g_all.size, chunk):
-        g = g_all[start : start + chunk][:, None]
+    for start in range(0, g_all.size, MARGIN_GRID_CHUNK):
+        g = g_all[start : start + MARGIN_GRID_CHUNK][:, None]
         margin = _margin(g, float(h), s[None, :])
         worst = min(worst, float(margin.min()))
     return worst

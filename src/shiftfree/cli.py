@@ -22,17 +22,8 @@ from typing import Iterable, Optional
 
 from . import __version__
 from .bounds import BoundsReport, bounds_report
-from .construct import SearchConfig, construct_thm1, construct_thm2, search_avoider, verify_avoids
-from .errors import (
-    BudgetExceededError,
-    DivisibilityError,
-    DomainMismatchError,
-    EmptySetError,
-    InvalidGroupError,
-    NotCosetUnionError,
-    ParseError,
-    SearchExhaustedError,
-)
+from .construct import construct_thm1, construct_thm2, search_avoider, verify_avoids
+from .errors import BudgetExceededError, ParseError, SearchExhaustedError
 from .exact import DEFAULT_BUDGET_MS, exact_N
 from .groups import Group, GroupSubset, stabilizer, subgroup_generated
 
@@ -287,7 +278,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     group = parse_group(args.group)
     subset = parse_set(args.set, group)
-    config = SearchConfig(seed=args.seed)
     if args.method == "thm1":
         if args.target is not None:
             raise ParseError("--target only applies to --method search")
@@ -295,11 +285,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.method == "thm2":
         if args.target is not None:
             raise ParseError("--target only applies to --method search")
-        cert = construct_thm2(subset, config)
+        cert = construct_thm2(subset, seed=args.seed)
     else:
         if args.target is None:
             raise ParseError("--method search requires --target")
-        cert = search_avoider(subset, args.target, config)
+        cert = search_avoider(subset, args.target, seed=args.seed)
     doc = {
         "group": _group_doc(group),
         "set": _subset_doc(subset),
@@ -442,13 +432,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--seed", type=_seed_type, default=0, help="seed for randomized search")
-    common.add_argument(
-        "--budget-ms",
-        type=_positive_type("budget"),
-        default=DEFAULT_BUDGET_MS,
-        help="wall-clock budget for the exact solver in milliseconds",
-    )
 
     parser = _Parser(prog="shiftfree", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -461,6 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", parents=[common], help="exact N by hitting-set solve")
     p.add_argument("group")
     p.add_argument("set")
+    p.add_argument(
+        "--budget-ms",
+        type=_positive_type("budget"),
+        default=DEFAULT_BUDGET_MS,
+        help="wall-clock budget for the exact solver in milliseconds",
+    )
     p.set_defaults(handler=_cmd_exact)
 
     p = sub.add_parser("construct", parents=[common], help="build a certified avoiding set")
@@ -468,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set")
     p.add_argument("--method", choices=("thm1", "thm2", "search"), default="thm2")
     p.add_argument("--target", type=int, default=None, help="avoider size for --method search")
+    p.add_argument("--seed", type=_seed_type, default=0, help="seed for randomized search")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", parents=[common], help="check a candidate avoiding set")
@@ -493,15 +483,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         return args.handler(args)
-    except (
-        ParseError,
-        InvalidGroupError,
-        DomainMismatchError,
-        EmptySetError,
-        NotCosetUnionError,
-        DivisibilityError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # every input error of the library subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:

@@ -1,54 +1,28 @@
-"""Certified avoiding-set constructions and the seeded randomized search.
+"""Avoiding-set constructions and the seeded randomized search.
 
 An avoiding set for a pattern S is a subset containing no translate g + S.
-Everything returned here is a Certificate whose verified flag comes from an
-actual verification pass over the stabilizer transversal, never from the
-construction's own bookkeeping.
+Everything returned here is a Certificate from exact.certify: an actual
+verify_avoids pass over the stabilizer transversal, never the construction's
+own bookkeeping.  Certificate and verify_avoids live in exact and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from .bounds import ceil_root_power, thm2_lower
-from .errors import BudgetExceededError, DomainMismatchError, EmptySetError, SearchExhaustedError
-from .exact import _solve_hitting_set, translate_family
+from .errors import BudgetExceededError, EmptySetError, SearchExhaustedError
+from .exact import Certificate, _solve_hitting_set, certify, translate_family, verify_avoids
 from .groups import GroupSubset, _lift, project_subset, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
-    "SearchConfig",
     "verify_avoids",
     "construct_thm1",
     "search_avoider",
     "construct_thm2",
 ]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of verifying a candidate avoiding set against a pattern.
-
-    witness is the smallest transversal element g whose translate g + S lies
-    inside the candidate, or None when no translate does; verified is true
-    exactly when witness is None.
-    """
-
-    avoiding_set: GroupSubset
-    pattern: GroupSubset
-    verified: bool
-    witness: Optional[int]
-
-    def __post_init__(self):
-        if self.verified != (self.witness is None):
-            raise ValueError("certificate verified flag contradicts its witness")
-
-    @property
-    def size(self) -> int:
-        return self.avoiding_set.size
-
 
 # Search budgets: random samples, repair steps, the largest group the
 # hitting-set fallback is tried on, and the largest group searched at all (the
@@ -57,37 +31,6 @@ MAX_RANDOM_RESTARTS = 64
 MAX_REPAIR_STEPS = 2000
 EXACT_FALLBACK_LIMIT = 64
 MAX_SEARCH_ORDER = 2**14
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Seed of the randomized avoider search; it makes runs reproducible."""
-
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-
-
-def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
-    """Check that no translate of pattern lies inside candidate.
-
-    Translates are enumerated over a transversal of the pattern's stabilizer
-    only: translating by a stabilizer element reproduces the same set, so the
-    transversal covers every distinct translate.
-    """
-    if candidate.group != pattern.group:
-        raise DomainMismatchError("candidate and pattern live in different groups")
-    if pattern.bits == 0:
-        raise EmptySetError("cannot verify against an empty pattern")
-    grp = pattern.group
-    view = quotient_view(grp, stabilizer(pattern))
-    cand = candidate.bits
-    for g in view.representatives:
-        if pattern.translate(g).bits & ~cand == 0:
-            return Certificate(candidate, pattern, verified=False, witness=g)
-    return Certificate(candidate, pattern, verified=True, witness=None)
 
 
 def construct_thm1(pattern: GroupSubset) -> Certificate:
@@ -99,20 +42,19 @@ def construct_thm1(pattern: GroupSubset) -> Certificate:
     if pattern.bits == 0:
         raise EmptySetError("construction needs a nonempty pattern")
     view = quotient_view(pattern.group, stabilizer(pattern))
-    cert = verify_avoids(_lift(view, 0), pattern)
-    if not cert.verified:
-        raise AssertionError("punctured-coset set failed verification; this is a bug")
-    return cert
+    return certify(_lift(view, 0), pattern)
 
 
-def _check_search_order(order: int) -> None:
+def _check_search_args(order: int, seed: int) -> None:
     if order > MAX_SEARCH_ORDER:
         raise BudgetExceededError(
             f"quotient order {order} exceeds the avoider-search cap {MAX_SEARCH_ORDER}"
         )
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
-def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig) -> Certificate:
+def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> Certificate:
     """Find a verified avoiding set of exactly target_size elements.
 
     Requires the pattern's stabilizer to be trivial (callers hand in quotient
@@ -121,13 +63,13 @@ def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig)
     hitting-set solve bounded by |G| - target_size whose complement is
     trimmed to size; raises SearchExhaustedError otherwise.  Groups above
     MAX_SEARCH_ORDER raise BudgetExceededError.  The whole schedule is a pure
-    function of config.seed.
+    function of seed.
     """
     if pattern.bits == 0:
         raise EmptySetError("search needs a nonempty pattern")
     grp = pattern.group
     g = grp.size
-    _check_search_order(g)
+    _check_search_args(g, seed)
     if stabilizer(pattern).order != 1:
         raise ValueError("search_avoider requires a trivial stabilizer; pass quotient data")
     if not 0 <= target_size <= g:
@@ -147,7 +89,7 @@ def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig)
     if target_size == 0:
         found = 0
     else:
-        rng = random.Random(config.seed)
+        rng = random.Random(seed)
         sample = 0
         for _ in range(MAX_RANDOM_RESTARTS):
             sample = 0
@@ -181,13 +123,10 @@ def search_avoider(pattern: GroupSubset, target_size: int, config: SearchConfig)
                 f"no avoiding set of size {target_size} found within budgets"
             )
 
-    cert = verify_avoids(GroupSubset(grp, found), pattern)
-    if not cert.verified:
-        raise AssertionError("search produced an unverified set; this is a bug")
-    return cert
+    return certify(GroupSubset(grp, found), pattern)
 
 
-def construct_thm2(pattern: GroupSubset, config: SearchConfig) -> Certificate:
+def construct_thm2(pattern: GroupSubset, *, seed: int = 0) -> Certificate:
     """Avoiding set of size thm2_lower - 1 built from a quotient avoider.
 
     With H the pattern's stabilizer, search the quotient G/H for a set of
@@ -201,12 +140,12 @@ def construct_thm2(pattern: GroupSubset, config: SearchConfig) -> Certificate:
         raise EmptySetError("construction needs a nonempty pattern")
     grp = pattern.group
     sub = stabilizer(pattern)
-    _check_search_order(grp.size // sub.order)
+    _check_search_args(grp.size // sub.order, seed)
     view = quotient_view(grp, sub)
     projected = project_subset(pattern, view)
     target = ceil_root_power(view.size, projected.size - 1, projected.size) - 1
 
-    inner = search_avoider(projected, target, config)
+    inner = search_avoider(projected, target, seed=seed)
     candidate = _lift(view, inner.avoiding_set.bits)
 
     expected = thm2_lower(grp.size, sub.order, pattern.size) - 1
@@ -214,7 +153,4 @@ def construct_thm2(pattern: GroupSubset, config: SearchConfig) -> Certificate:
         raise AssertionError(
             f"construction size {candidate.size} != thm2_lower - 1 = {expected}; this is a bug"
         )
-    cert = verify_avoids(candidate, pattern)
-    if not cert.verified:
-        raise AssertionError("quotient construction failed verification; this is a bug")
-    return cert
+    return certify(candidate, pattern)

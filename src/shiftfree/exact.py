@@ -1,4 +1,4 @@
-"""Exact N values via a minimum hitting set of the translate family on G/H.
+"""Exact N values via a minimum hitting set, and the one avoidance verifier.
 
 A subset B avoids every translate of S iff its complement meets every
 translate, so the largest avoiding set is |G| minus the minimum hitting set
@@ -28,6 +28,11 @@ exists, one of that size contains z.  The search below z is therefore
 complete, for the minimum and for a size limit alike, and the root's
 equivalent branches are not searched again.
 
+verify_avoids is the only test of a candidate against the pattern's
+translates.  Every avoiding set the library builds, here and in construct,
+passes through certify, which calls it and treats a failure as a bug: a
+returned avoider is re-verified, never trusted from its construction.
+
 naive_exact is the independent oracle: it enumerates all 2^|G| subsets and
 checks all |G| translates with plain set arithmetic, no transversal, no
 bitsets, no duality.  It exists to disagree with exact_N if either is wrong.
@@ -37,11 +42,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import BudgetExceededError, EmptySetError
+from .errors import BudgetExceededError, DomainMismatchError, EmptySetError
 from .groups import GroupLike, GroupSubset, _lift, quotient_view, stabilizer
 
 __all__ = [
+    "Certificate",
+    "verify_avoids",
+    "certify",
     "TranslateFamily",
     "translate_family",
     "min_hitting_set",
@@ -53,6 +62,56 @@ __all__ = [
 DEFAULT_MAX_ORDER = 40
 DEFAULT_BUDGET_MS = 10_000
 NAIVE_MAX_ORDER = 16
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Outcome of verifying a candidate avoiding set against a pattern.
+
+    witness is the smallest transversal element g whose translate g + S lies
+    inside the candidate, or None when no translate does.
+    """
+
+    avoiding_set: GroupSubset
+    pattern: GroupSubset
+    witness: Optional[int]
+
+    @property
+    def verified(self) -> bool:
+        return self.witness is None
+
+    @property
+    def size(self) -> int:
+        return self.avoiding_set.size
+
+
+def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
+    """Check that no translate of pattern lies inside candidate.
+
+    Translates are enumerated over a transversal of the pattern's stabilizer
+    only: translating by a stabilizer element reproduces the same set, so the
+    transversal covers every distinct translate.
+    """
+    if candidate.group != pattern.group:
+        raise DomainMismatchError("candidate and pattern live in different groups")
+    if pattern.bits == 0:
+        raise EmptySetError("cannot verify against an empty pattern")
+    view = quotient_view(pattern.group, stabilizer(pattern))
+    outside = candidate.complement().bits
+    for g in view.representatives:
+        if pattern.translate(g).bits & outside == 0:
+            return Certificate(candidate, pattern, witness=g)
+    return Certificate(candidate, pattern, witness=None)
+
+
+def certify(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
+    """verify_avoids for a set the library built; a failure is a bug, not an input error."""
+    cert = verify_avoids(candidate, pattern)
+    if not cert.verified:
+        raise AssertionError(
+            f"built avoider contains the translate at {cert.witness}; this is a bug"
+        )
+    return cert
 
 
 @dataclass(frozen=True)
@@ -84,9 +143,9 @@ def translate_family(pattern: GroupSubset) -> TranslateFamily:
     return TranslateFamily(universe_size=grp.size, sets=sets)
 
 
-def min_hitting_set(family: TranslateFamily, *, deadline: float | None = None) -> tuple[int, GroupSubset]:
+def min_hitting_set(family: TranslateFamily) -> tuple[int, GroupSubset]:
     """Minimum-size subset of the universe meeting every family set."""
-    size, bits, _ = _solve_hitting_set(family, deadline)
+    size, bits, _ = _solve_hitting_set(family, None)
     return size, GroupSubset(family.group, bits)
 
 
@@ -188,55 +247,46 @@ def _solve_hitting_set(
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact N with both certificates: a maximum avoider and its dual hitting set."""
+    """Exact N certified by a maximum avoider; its complement is a minimum hitting set."""
 
-    n_value: int
     max_avoider: GroupSubset
-    min_hitting_set: GroupSubset
     nodes: int
 
+    @property
+    def n_value(self) -> int:
+        return self.max_avoider.size + 1
 
-def exact_N(
-    pattern: GroupSubset,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-    budget_ms: int | None = DEFAULT_BUDGET_MS,
-) -> ExactResult:
+    @property
+    def min_hitting_set(self) -> GroupSubset:
+        return self.max_avoider.complement()
+
+
+def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) -> ExactResult:
     """Exact threshold N for the pattern, or BudgetExceededError; never partial.
 
-    max_order caps |G/H|; a single coset of the stabilizer H needs no search.
+    DEFAULT_MAX_ORDER caps |G/H|; a single coset of the stabilizer H needs no
+    search.
     """
     if pattern.bits == 0:
         raise EmptySetError("exact solve needs a nonempty pattern")
     grp, g = pattern.group, pattern.group.size
     sub = stabilizer(pattern)
     one_coset = pattern.size == sub.order
-    if not one_coset and g // sub.order > max_order:
+    if not one_coset and g // sub.order > DEFAULT_MAX_ORDER:
         raise BudgetExceededError(
-            f"quotient order {g // sub.order} exceeds the exact-solver cap {max_order}"
+            f"quotient order {g // sub.order} exceeds the exact-solver cap {DEFAULT_MAX_ORDER}"
         )
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     view = quotient_view(grp, sub)
     maxima = _lift(view, 0).complement().bits  # one element per H-coset
     if one_coset:
-        # Each translate is one H-coset, hit by its one maximum.  Translates are
-        # checked one at a time: all g/h of them would take g*g/h bits.
-        tau, witness_bits, nodes = view.size, maxima, 0
-        translates = map(pattern.translate, view.representatives)
+        # Each translate is one H-coset, hit by its one maximum.
+        witness_bits, nodes = maxima, 0
     else:
-        translates = translate_family(pattern).sets
-        masked = tuple(GroupSubset(grp, t.bits & maxima) for t in translates)
-        tau, witness_bits, nodes = _solve_hitting_set(TranslateFamily(g, masked), deadline)
-    witness = GroupSubset(grp, witness_bits)
-    avoider = witness.complement()
-    if any(t.is_subset_of(avoider) for t in translates):
-        raise AssertionError("exact avoider contains a translate of the pattern; this is a bug")
-    return ExactResult(
-        n_value=g - tau + 1,
-        max_avoider=avoider,
-        min_hitting_set=witness,
-        nodes=nodes,
-    )
+        masked = tuple(GroupSubset(grp, t.bits & maxima) for t in translate_family(pattern).sets)
+        _, witness_bits, nodes = _solve_hitting_set(TranslateFamily(g, masked), deadline)
+    avoider = certify(GroupSubset(grp, witness_bits).complement(), pattern).avoiding_set
+    return ExactResult(max_avoider=avoider, nodes=nodes)
 
 
 def naive_exact(pattern: GroupSubset) -> int:

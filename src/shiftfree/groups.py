@@ -247,12 +247,15 @@ class GroupSubset:
         return iter(self.indices())
 
     def indices(self) -> list[int]:
+        # One linear pass over the binary digits; peeling the lowest bit off
+        # the int instead copies all |G| bits per element.
+        digits = bin(self.bits)  # "0b", then bit |G|-1 down to bit 0
+        last = len(digits) - 1
         out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
+        j = digits.rfind("1", 2)
+        while j >= 0:
+            out.append(last - j)
+            j = digits.rfind("1", 2, j)
         return out
 
     def translate(self, g: int) -> "GroupSubset":

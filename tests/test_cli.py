@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import shiftfree
-from shiftfree import cli, construct
+from shiftfree import cli, exact
 from shiftfree.cli import format_group, main, parse_group, parse_set
 from shiftfree.errors import DomainMismatchError, ParseError
 from shiftfree.exact import exact_N
@@ -413,22 +413,37 @@ def test_usage_errors_exit_one():
     assert run_cli(["frobnicate"])[0] == 1
     assert run_cli(["bounds", "Z6"])[0] == 1
     assert run_cli(["bounds", "Z6", "{0}", "--format", "yaml"])[0] == 1
-    assert run_cli(["exact", "Z6", "{0,1}", "--seed", "-2"])[0] == 1
+    assert run_cli(["construct", "Z6", "{0,1}", "--seed", "-2"])[0] == 1
     assert run_cli(["exact", "Z6", "{0,1}", "--budget-ms", "0"])[0] == 1
 
 
-def test_internal_error_exits_five(monkeypatch):
-    # A construction that fails its own verification is a bug: exit 5 with
-    # one line on stderr, never a traceback.
-    def unverified(candidate, pattern):
-        return construct.Certificate(candidate, pattern, verified=False, witness=0)
+def test_flags_only_on_the_command_that_reads_them():
+    assert run_cli(["bounds", "Z6", "{0,1}", "--seed", "1"])[0] == 1
+    assert run_cli(["exact", "Z6", "{0,1}", "--seed", "1"])[0] == 1
+    assert run_cli(["construct", "Z6", "{0,1}", "--budget-ms", "5"])[0] == 1
+    assert run_cli(["table", "--budget-ms", "5"])[0] == 1
 
-    monkeypatch.setattr(construct, "verify_avoids", unverified)
-    code, out, err = run_cli(["construct", "Z4", "{0,2}", "--method", "thm1"])
-    assert code == 5
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: internal error")
-    assert "Traceback" not in err
+
+def test_internal_error_exits_five(monkeypatch):
+    # An avoider the library built that fails its own verification is a bug:
+    # exit 5 with one line on stderr, never a traceback.  certify looks
+    # verify_avoids up in exact, so every builder goes through the patch.
+    def unverified(candidate, pattern):
+        return exact.Certificate(candidate, pattern, witness=0)
+
+    monkeypatch.setattr(exact, "verify_avoids", unverified)
+    for argv in (
+        ["construct", "Z4", "{0,2}", "--method", "thm1"],
+        ["construct", "Z6", "{0,1}", "--method", "thm2"],
+        ["construct", "Z6", "{0,1}", "--method", "search", "--target", "2"],
+        ["exact", "Z6", "{0,1}"],
+        ["exact", "Z8", "{0,4}"],  # a single coset: no search runs
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 5, argv
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: internal error")
+        assert "Traceback" not in err
 
 
 def test_memory_error_exits_three(monkeypatch):

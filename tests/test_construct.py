@@ -8,7 +8,6 @@ from shiftfree import construct
 from shiftfree.bounds import ceil_root_power, lemma_lower, thm2_lower
 from shiftfree.construct import (
     Certificate,
-    SearchConfig,
     construct_thm1,
     construct_thm2,
     search_avoider,
@@ -59,21 +58,28 @@ def coset_union(group: Group, generator: int, reps: list[int]) -> GroupSubset:
 
 
 def test_certificate_flag_must_match_witness():
+    # verified is derived from the witness, so the two cannot disagree.
     grp = Group([4])
     s = GroupSubset.from_indices(grp, [0, 1])
-    with pytest.raises(ValueError):
+    assert Certificate(s, s, witness=None).verified
+    failed = Certificate(s, s, witness=0)
+    assert not failed.verified and failed.size == 2
+    with pytest.raises(TypeError):
         Certificate(s, s, verified=True, witness=0)
-    with pytest.raises(ValueError):
-        Certificate(s, s, verified=False, witness=None)
-    assert Certificate(s, s, verified=False, witness=2).size == 2
 
 
-def test_search_config_validation():
-    assert SearchConfig().seed == 0
-    with pytest.raises(ValueError):
-        SearchConfig(seed=-1)
-    with pytest.raises(ValueError):
-        SearchConfig(seed=2**64)
+def test_seed_must_fit_in_64_bits():
+    # Both library entry points check the seed range themselves.
+    grp = Group([16])
+    pair = GroupSubset.from_indices(grp, [0, 1, 5])
+    coset = coset_union(grp, 8, [0, 1])
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="64 bits"):
+            search_avoider(pair, 3, seed=bad)
+        with pytest.raises(ValueError, match="64 bits"):
+            construct_thm2(coset, seed=bad)
+    assert search_avoider(pair, 3, seed=2**64 - 1).verified
+    assert construct_thm2(coset, seed=2**64 - 1).verified
 
 
 # -- verifier -------------------------------------------------------------------
@@ -178,21 +184,20 @@ def test_construct_thm1_rejects_empty():
 def test_search_avoider_anchor_z6():
     z6 = Group([6])
     s = GroupSubset.from_indices(z6, [0, 1])
-    cert = search_avoider(s, 2, SearchConfig(seed=1))
+    cert = search_avoider(s, 2, seed=1)
     assert cert.verified
     assert cert.size == 2
 
 
 def test_search_avoider_target_zero():
     cert = search_avoider(
-        GroupSubset.from_indices(Group([5]), [0, 1]), 0, SearchConfig()
-    )
+        GroupSubset.from_indices(Group([5]), [0, 1]), 0)
     assert cert.verified and cert.size == 0
 
 
 def test_search_avoider_below_pattern_size_always_succeeds():
     s = GroupSubset.from_indices(Group([7]), [0, 1, 3])
-    cert = search_avoider(s, 2, SearchConfig(seed=99))
+    cert = search_avoider(s, 2, seed=99)
     assert cert.verified and cert.size == 2
 
 
@@ -212,7 +217,7 @@ def test_search_avoider_succeeds_in_guaranteed_regime():
         pattern = GroupSubset.from_indices(grp, members)
         target = lemma_lower(grp.size, 1, pattern.size) - 1
         for seed in (0, 1, 2):
-            cert = search_avoider(pattern, target, SearchConfig(seed=seed))
+            cert = search_avoider(pattern, target, seed=seed)
             assert cert.verified
             assert cert.size == target
 
@@ -222,7 +227,7 @@ def test_search_avoider_exhausts_when_no_set_exists():
     # group is small enough that the exhaustive fallback proves it.
     s = GroupSubset.from_indices(Group([4]), [0, 1])
     with pytest.raises(SearchExhaustedError):
-        search_avoider(s, 3, SearchConfig(seed=0))
+        search_avoider(s, 3, seed=0)
 
 
 def test_search_avoider_fallback_matches_naive_oracle(monkeypatch):
@@ -246,9 +251,9 @@ def test_search_avoider_fallback_matches_naive_oracle(monkeypatch):
             for target in range(1, grp.size + 1):
                 if target > largest:
                     with pytest.raises(SearchExhaustedError):
-                        search_avoider(pattern, target, SearchConfig())
+                        search_avoider(pattern, target)
                     continue
-                cert = search_avoider(pattern, target, SearchConfig())
+                cert = search_avoider(pattern, target)
                 assert cert.verified and cert.size == target
                 assert not contains_translate_anywhere(cert.avoiding_set, pattern)
                 checked += 1
@@ -258,9 +263,8 @@ def test_search_avoider_fallback_matches_naive_oracle(monkeypatch):
 def test_search_avoider_is_deterministic_per_seed():
     grp = Group([16])
     pattern = GroupSubset.from_indices(grp, [0, 1, 5])
-    config = SearchConfig(seed=42)
-    first = search_avoider(pattern, 6, config)
-    second = search_avoider(pattern, 6, config)
+    first = search_avoider(pattern, 6, seed=42)
+    second = search_avoider(pattern, 6, seed=42)
     assert first.avoiding_set.bits == second.avoiding_set.bits
 
 
@@ -268,12 +272,12 @@ def test_search_avoider_input_checks():
     grp = Group([4])
     coset = GroupSubset.from_indices(grp, [0, 2])
     with pytest.raises(ValueError):
-        search_avoider(coset, 1, SearchConfig())  # nontrivial stabilizer
+        search_avoider(coset, 1)  # nontrivial stabilizer
     pair = GroupSubset.from_indices(grp, [0, 1])
     with pytest.raises(ValueError):
-        search_avoider(pair, 5, SearchConfig())  # target above |G|
+        search_avoider(pair, 5)  # target above |G|
     with pytest.raises(EmptySetError):
-        search_avoider(GroupSubset.empty(grp), 1, SearchConfig())
+        search_avoider(GroupSubset.empty(grp), 1)
 
 
 def test_search_avoider_refuses_groups_above_search_cap():
@@ -281,7 +285,7 @@ def test_search_avoider_refuses_groups_above_search_cap():
     # before building any of them.
     grp = Group([32768])  # twice the cap
     with pytest.raises(BudgetExceededError, match=str(grp.size)):
-        search_avoider(GroupSubset.from_indices(grp, [0, 1, 5]), 10, SearchConfig())
+        search_avoider(GroupSubset.from_indices(grp, [0, 1, 5]), 10)
 
 
 # -- quotient-lift construction ---------------------------------------------
@@ -289,7 +293,7 @@ def test_search_avoider_refuses_groups_above_search_cap():
 
 def test_construct_thm2_smoke_c2024():
     grp = Group([2024])
-    cert = construct_thm2(coset_union(grp, 253, [0, 1]), SearchConfig(seed=0))
+    cert = construct_thm2(coset_union(grp, 253, [0, 1]), seed=0)
     assert cert.verified
     assert cert.size == 1786
 
@@ -297,7 +301,7 @@ def test_construct_thm2_smoke_c2024():
 def test_construct_thm2_single_coset_matches_thm1_size():
     grp = Group([12])
     pattern = coset_union(grp, 4, [2])  # one coset of {0,4,8}
-    cert = construct_thm2(pattern, SearchConfig(seed=3))
+    cert = construct_thm2(pattern, seed=3)
     assert cert.verified
     assert cert.size == grp.size - grp.size // 3
 
@@ -305,7 +309,7 @@ def test_construct_thm2_single_coset_matches_thm1_size():
 def test_construct_thm2_trivial_stabilizer_is_pure_search():
     grp = Group([10])
     pattern = GroupSubset.from_indices(grp, [0, 1, 3])
-    cert = construct_thm2(pattern, SearchConfig(seed=5))
+    cert = construct_thm2(pattern, seed=5)
     assert cert.verified
     assert cert.size == ceil_root_power(10, 2, 3) - 1
 
@@ -321,7 +325,7 @@ def test_construct_thm2_size_formula_random_instances():
             chosen = rng.sample(reps, rng.randint(1, len(reps)))
             pattern = coset_union(grp, gen, chosen)
             report_h = stabilizer(pattern).order
-            cert = construct_thm2(pattern, SearchConfig(seed=rng.randrange(1000)))
+            cert = construct_thm2(pattern, seed=rng.randrange(1000))
             assert cert.verified
             assert cert.size == thm2_lower(grp.size, report_h, pattern.size) - 1
 
@@ -332,7 +336,7 @@ def test_construct_thm2_output_structure():
     # projects to a class set that itself avoids the projected pattern.
     grp = Group([12])
     pattern = coset_union(grp, 6, [0, 1])  # two cosets of {0,6}
-    cert = construct_thm2(pattern, SearchConfig(seed=2))
+    cert = construct_thm2(pattern, seed=2)
     assert cert.verified
 
     sub = stabilizer(pattern)
@@ -351,11 +355,11 @@ def test_construct_thm2_output_structure():
 def test_construct_thm2_deterministic_for_fixed_seed():
     grp = Group([2024])
     pattern = coset_union(grp, 253, [0, 1, 2])
-    a = construct_thm2(pattern, SearchConfig(seed=11))
-    b = construct_thm2(pattern, SearchConfig(seed=11))
+    a = construct_thm2(pattern, seed=11)
+    b = construct_thm2(pattern, seed=11)
     assert a.avoiding_set.bits == b.avoiding_set.bits
 
 
 def test_construct_thm2_rejects_empty():
     with pytest.raises(EmptySetError):
-        construct_thm2(GroupSubset.empty(Group([6])), SearchConfig())
+        construct_thm2(GroupSubset.empty(Group([6])))

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from shiftfree import exact
 from shiftfree.bounds import bounds_report
 from shiftfree.construct import construct_thm1, verify_avoids
 from shiftfree.errors import BudgetExceededError, EmptySetError
@@ -193,12 +194,13 @@ def test_exact_n_matches_naive_oracle_sampled():
             assert exact_N(pattern).n_value == naive_exact(pattern)
 
 
-def test_exact_n_adjacent_pair_closed_form():
+def test_exact_n_adjacent_pair_closed_form(monkeypatch):
     # For S = {0,1} in a cycle the maximum avoider is a maximum independent
     # set of the cycle graph, so N = floor(g/2) + 1.
+    monkeypatch.setattr(exact, "DEFAULT_MAX_ORDER", 41)
     for g in (4, 6, 9, 13, 41):
         grp = Group([g])
-        result = exact_N(GroupSubset.from_indices(grp, [0, 1]), max_order=41)
+        result = exact_N(GroupSubset.from_indices(grp, [0, 1]))
         assert result.n_value == g // 2 + 1
 
 

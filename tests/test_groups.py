@@ -1,6 +1,7 @@
 """Group arithmetic, subsets, stabilizers, transversals, quotients."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -160,6 +161,23 @@ def test_subset_basics():
     assert s.union(GroupSubset.from_indices(grp, [1])).size == 4
     assert s.is_subset_of(GroupSubset.full(grp))
     assert not GroupSubset.full(grp).is_subset_of(s)
+
+
+def test_indices_match_a_bit_scan():
+    rng = random.Random(17)
+    for g in (1, 2, 7, 64, 65, 1000, 4096):
+        grp = Group([g])
+        sparse = rng.getrandbits(g) & rng.getrandbits(g) & rng.getrandbits(g)
+        for bits in (0, 1, 1 << (g - 1), (1 << g) - 1, rng.getrandbits(g), sparse):
+            assert GroupSubset(grp, bits).indices() == [i for i in range(g) if bits >> i & 1]
+
+
+def test_indices_of_a_dense_large_set_is_linear():
+    # Peeling one bit at a time off a 2**18-bit int took about 7 s.
+    grp = Group([2**18])
+    started = time.perf_counter()
+    assert len(GroupSubset.full(grp).indices()) == grp.size
+    assert time.perf_counter() - started < 2.0
 
 
 def test_subset_rejects_out_of_range():
