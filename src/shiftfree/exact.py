@@ -6,12 +6,20 @@ of the family {g + S : g in T} with T a stabilizer transversal (translates
 repeat inside a stabilizer coset, so the transversal family is the whole
 family).  N is then |G| - tau + 1.
 
-Every translate is a union of cosets of the stabilizer H, so a set hits it
-iff its image in G/H does: N(G, S) = g - g/h + N(G/H, S/H).  exact_N solves
-on the quotient by masking every family set to one element per H-coset (its
-max flat index, the one construct_thm1 punctures), so the search has |G/H|
-candidates and the order cap applies to |G/H|.  A single coset of H needs no
-search: every translate is one coset, hit by its one maximum.
+exact_N reduces, solves, then lifts.  Reduce: every translate is a union of
+cosets of the stabilizer H, so a set hits it iff its image in G/H does:
+N(G, S) = g - g/h + N(G/H, S/H).  Every family set is masked to one element
+per H-coset (its max flat index, the one construct_thm1 punctures), so the
+search has at most |G/H| candidates and the order cap applies to |G/H|.  A
+single coset of H needs no search: every translate is one coset, hit by its
+one maximum.  Each translate t + S also lies in one coset of the difference
+subgroup K = <S - S> (K contains H), and translates overlap only inside one,
+so the family is [G:K] disjoint translated copies of the translates inside
+s0 + K.  That coset is the connected component of S itself, found by ORing
+overlapping family sets.  Solve: the branch and bound runs on that
+component's masked sets alone, at most |K/H| candidates.  Lift: the witness
+is translated onto every other K-coset by the first family element's shift
+there, so tau(G, S) = [G:K] tau(K, S - s0).
 
 The solver is a sequential branch and bound: greedy incumbent first, then
 depth-first branching on an uncovered set with the fewest remaining candidate
@@ -21,12 +29,12 @@ ceil(uncovered / max_sets_per_element).  Every element of G lies in exactly
 
 The search starts with the lowest candidate element z already chosen.  Every
 family solved here is closed under a group of symmetries that moves any
-candidate onto any other: G acts on its translate family, and G/H acts on the
-masked family through the coset <-> maximum bijection.  A symmetry maps a
-hitting set to a hitting set of the same size, so whenever one of some size
-exists, one of that size contains z.  The search below z is therefore
-complete, for the minimum and for a size limit alike, and the root's
-equivalent branches are not searched again.
+candidate onto any other: G acts on its translate family, and K/H acts on
+the masked component through the coset <-> maximum bijection.  A symmetry
+maps a hitting set to a hitting set of the same size, so whenever one of
+some size exists, one of that size contains z.  The search below z is
+therefore complete, for the minimum and for a size limit alike, and the
+root's equivalent branches are not searched again.
 
 verify_avoids is the only test of a candidate against the pattern's
 translates.  Every avoiding set the library builds, here and in construct,
@@ -120,9 +128,9 @@ class TranslateFamily:
 
     min_hitting_set relies on one invariant: the family is closed under a
     group of symmetries acting transitively on the elements its sets cover
-    (translation by G for a translate family, G/H for exact_N's family masked
-    to one maximum per coset).  Without it the returned set can exceed the
-    minimum.
+    (translation by G for a translate family, K/H for exact_N's component
+    masked to one maximum per coset).  Without it the returned set can
+    exceed the minimum.
     """
 
     universe_size: int
@@ -171,9 +179,10 @@ def _solve_hitting_set(
             low = b & -b
             elem_sets[low.bit_length() - 1] |= 1 << j
             b ^= low
+    candidates = [e for e in range(u) if elem_sets[e]]  # the elements some set holds
     # Admissible pruning cap: no element hits more sets than this.  On a
     # translate family the regularity invariant makes it exactly |S|/|H|.
-    per_elem = max(1, max(es.bit_count() for es in elem_sets))
+    per_elem = max(elem_sets[e].bit_count() for e in candidates)
 
     # Greedy incumbent: repeatedly take the element covering the most
     # still-uncovered sets, smallest flat index on ties.
@@ -182,7 +191,7 @@ def _solve_hitting_set(
     uncovered = all_covered
     while uncovered:
         pick, gain = -1, -1
-        for e in range(u):
+        for e in candidates:
             c = (elem_sets[e] & uncovered).bit_count()
             if c > gain:
                 pick, gain = e, c
@@ -240,7 +249,7 @@ def _solve_hitting_set(
 
     # Some hitting set of every achievable size holds the lowest candidate z:
     # the family's symmetries move any candidate onto z (module docstring).
-    z = next(e for e in range(u) if elem_sets[e])
+    z = candidates[0]
     dfs(1 << z, 1, elem_sets[z], 0)
     return best_size, best_bits, nodes
 
@@ -283,8 +292,23 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
         # Each translate is one H-coset, hit by its one maximum.
         witness_bits, nodes = maxima, 0
     else:
-        masked = tuple(GroupSubset(grp, t.bits & maxima) for t in translate_family(pattern).sets)
-        _, witness_bits, nodes = _solve_hitting_set(TranslateFamily(g, masked), deadline)
+        family = translate_family(pattern).sets
+        # S's connected component, by overlap, is the K-coset s0 + K.
+        block, prev = family[0].bits, 0
+        while block != prev:
+            prev = block
+            for t in family:
+                if t.bits & block:
+                    block |= t.bits
+        core = tuple(GroupSubset(grp, t.bits & maxima) for t in family if t.bits & block)
+        _, witness_bits, nodes = _solve_hitting_set(TranslateFamily(g, core), deadline)
+        if len(core) < len(family):
+            # Lift: r + witness hits the whole copy r + S lies in; the copies
+            # are disjoint, so each K-coset gets exactly one.
+            witness = GroupSubset(grp, witness_bits)
+            for r, t in zip(view.representatives, family):
+                if not t.bits & witness_bits:
+                    witness_bits |= witness.translate(r).bits
     avoider = certify(GroupSubset(grp, witness_bits).complement(), pattern).avoiding_set
     return ExactResult(max_avoider=avoider, nodes=nodes)
 

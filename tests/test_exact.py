@@ -248,6 +248,46 @@ def test_exact_n_trivial_stabilizer_matches_naive_oracle_exhaustive():
     assert checked == 760
 
 
+def maximal_subgroups(grp: Group) -> set[int]:
+    """Bitsets of the kernels of every map onto some Z_p, x -> sum c_i x_i mod p."""
+    out = set()
+    for p in range(2, grp.size + 1):
+        if grp.size % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        axes = [i for i, m in enumerate(grp.orders) if m % p == 0]
+        for coeffs in itertools.product(range(p), repeat=len(axes)):
+            if any(coeffs):
+                out.add(sum(1 << a for a in grp.elements()
+                            if sum(c * grp.coords(a)[i] for c, i in zip(coeffs, axes)) % p == 0))
+    return out
+
+
+def test_exact_n_split_on_the_difference_subgroup_matches_unsplit_solver():
+    # exact_N solves one K-coset's translates, K = <S - S>, and lifts the
+    # witness to the others.  A pattern holding 0 has K = <S>, and K != G iff
+    # S lies in a maximal subgroup.  One pattern per translation orbit, in
+    # every presentation of order <= 16, against the whole family's minimum.
+    checked = 0
+    for n in range(1, 17):
+        for orders in presentations(n):
+            grp = Group(orders)
+            seen = set()
+            for maximal in sorted(maximal_subgroups(grp)):
+                members = GroupSubset(grp, maximal).indices()[1:]
+                for chosen in range(1 << len(members)):
+                    bits = 1 | sum(1 << a for j, a in enumerate(members) if chosen >> j & 1)
+                    if bits in seen:
+                        continue
+                    pattern = GroupSubset(grp, bits)
+                    seen.update(pattern.translate(t).bits for t in grp.elements())
+                    result = exact_N(pattern)
+                    tau = min_hitting_set(translate_family(pattern))[0]
+                    assert grp.size - result.max_avoider.size == tau, pattern
+                    assert verify_avoids(result.max_avoider, pattern).verified, pattern
+                    checked += 1
+    assert checked == 1847
+
+
 def test_exact_n_single_coset_at_any_order():
     # A single coset needs no search, so the quotient cap does not apply.
     pattern = coset_union(Group([2024]), 8, [0])
