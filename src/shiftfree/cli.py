@@ -29,9 +29,9 @@ from .groups import Group, GroupSubset, stabilizer, subgroup_generated
 
 __all__ = ["main", "run", "parse_group", "format_group", "parse_set"]
 
-_GROUP_RE = re.compile(r"^[Zz]\d+(?:[xX][Zz]\d+)*$")
+_GROUP_RE = re.compile(r"^[Zz][0-9]+(?:[xX][Zz][0-9]+)*$")
 _COSETS_RE = re.compile(
-    r"^cosets\(\s*order\s*=\s*(\d+)\s*;\s*reps\s*=\s*([0-9,\s]+)\)$", re.IGNORECASE
+    r"^cosets\(\s*order\s*=\s*([0-9]+)\s*;\s*reps\s*=\s*([0-9,\s]+)\)$", re.IGNORECASE
 )
 
 BOUND_KEYS = ("thm1_lower", "lemma_lower", "thm2_lower", "upper")
@@ -83,19 +83,22 @@ def _parse_explicit(text: str, group: Group) -> GroupSubset:
         if item.startswith("("):
             if not item.endswith(")"):
                 raise ParseError(f"bad coordinate tuple {item!r}")
-            try:
-                coords = [int(p) for p in item[1:-1].split(",")]
-            except ValueError:
-                raise ParseError(f"bad coordinate tuple {item!r}") from None
-            indices.append(group.flat_index(coords))
+            coords = [p.strip() for p in item[1:-1].split(",")]
+            if not all(map(_is_number, coords)):
+                raise ParseError(f"bad coordinate tuple {item!r}")
+            indices.append(group.flat_index([int(p) for p in coords]))
         else:
-            try:
-                flat = int(item)
-            except ValueError:
-                raise ParseError(f"bad element {item!r} in set spec") from None
+            if not _is_number(item):
+                raise ParseError(f"bad element {item!r} in set spec")
+            flat = int(item)
             group.check_element(flat)
             indices.append(flat)
     return GroupSubset.from_indices(group, indices)
+
+
+def _is_number(token: str) -> bool:
+    """ASCII digits only: int() alone also takes "1_000" and other scripts' digits."""
+    return token.isascii() and token.isdigit()
 
 
 def _split_top_level(body: str) -> list[str]:
@@ -123,12 +126,14 @@ def _parse_cosets(text: str, group: Group) -> GroupSubset:
     if sum(m > 1 for m in group.orders) > 1:
         raise ParseError("cosets(...) specs are only defined for cyclic groups")
     order = int(match.group(1))
-    reps = [int(p) for p in match.group(2).split(",") if p.strip()]
+    reps = [p.strip() for p in match.group(2).split(",") if p.strip()]
     if not reps:
         raise ParseError(f"coset spec {text!r} lists no representatives")
+    if not all(map(_is_number, reps)):
+        raise ParseError(f"bad representative in coset spec {text!r}")
     if order < 1 or group.size % order != 0:
         raise ParseError(f"subgroup order {order} does not divide the group order {group.size}")
-    return _coset_union(group, order, reps)
+    return _coset_union(group, order, [int(p) for p in reps])
 
 
 def _coset_union(group: Group, order: int, reps: Iterable[int]) -> GroupSubset:

@@ -5,6 +5,9 @@ Everything returned here is a Certificate from exact.certify: an actual
 verify_avoids pass over the stabilizer transversal, never the construction's
 own bookkeeping.  Certificate and verify_avoids live in exact and are
 re-exported here.
+
+The randomized search runs on plain int masks, one per translate: of S in G
+for search_avoider, of S/H in G/H as class-index masks for construct_thm2.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import random
 
 from .bounds import ceil_root_power, thm2_lower
 from .errors import BudgetExceededError, EmptySetError, SearchExhaustedError
-from .exact import Certificate, _solve_hitting_set, certify, translate_family, verify_avoids
-from .groups import GroupSubset, _lift, project_subset, quotient_view, stabilizer
+from .exact import Certificate, _solve_hitting_set, certify, verify_avoids
+from .groups import GroupSubset, _bit_indices, _lift, project_subset, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -57,25 +60,36 @@ def _check_search_args(order: int, seed: int) -> None:
 def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> Certificate:
     """Find a verified avoiding set of exactly target_size elements.
 
-    Requires the pattern's stabilizer to be trivial (callers hand in quotient
-    data, where that always holds).  Strategy: uniform random subsets, then
-    local repair of the last sample, then, when the group is small enough, a
-    hitting-set solve bounded by |G| - target_size whose complement is
-    trimmed to size; raises SearchExhaustedError otherwise.  Groups above
-    MAX_SEARCH_ORDER raise BudgetExceededError.  The whole schedule is a pure
-    function of seed.
+    Requires the pattern's stabilizer to be trivial; construct_thm2 runs the
+    same search on G/H for any pattern.  Groups above MAX_SEARCH_ORDER raise
+    BudgetExceededError, and SearchExhaustedError means every phase of
+    _search failed.  The whole schedule is a pure function of seed.
     """
     if pattern.bits == 0:
         raise EmptySetError("search needs a nonempty pattern")
     grp = pattern.group
     g = grp.size
     _check_search_args(g, seed)
-    if stabilizer(pattern).order != 1:
-        raise ValueError("search_avoider requires a trivial stabilizer; pass quotient data")
+    h = stabilizer(pattern).order
+    if h != 1:
+        raise ValueError(f"search needs a trivial stabilizer, but this pattern's has order {h}; "
+                         "use construct_thm2 (--method thm2), which searches G/H")
     if not 0 <= target_size <= g:
         raise ValueError(f"target size must lie in [0, {g}], got {target_size}")
+    found = _search([pattern.translate(t).bits for t in range(g)], target_size, seed)
+    return certify(GroupSubset(grp, found), pattern)
 
-    masks = [pattern.translate(t).bits for t in range(g)]
+
+def _search(masks: list[int], target_size: int, seed: int) -> int:
+    """A target_size-element bitmask over [0, len(masks)) containing no mask.
+
+    Mask t is one pattern's translate by element t.  Uniform random subsets,
+    then local repair of the last sample, then, with at most
+    EXACT_FALLBACK_LIMIT elements, a hitting-set solve bounded by
+    len(masks) - target_size whose complement is trimmed to size; raises
+    SearchExhaustedError otherwise.
+    """
+    g = len(masks)
     full = (1 << g) - 1
 
     def violation(bits: int) -> int:
@@ -85,55 +99,52 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
                 return t
         return -1
 
-    found = -1
     if target_size == 0:
-        found = 0
-    else:
-        rng = random.Random(seed)
+        return 0
+    found = -1
+    rng = random.Random(seed)
+    sample = 0
+    for _ in range(MAX_RANDOM_RESTARTS):
         sample = 0
-        for _ in range(MAX_RANDOM_RESTARTS):
-            sample = 0
-            for e in rng.sample(range(g), target_size):
-                sample |= 1 << e
-            if violation(sample) < 0:
-                found = sample
+        for e in rng.sample(range(g), target_size):
+            sample |= 1 << e
+        if violation(sample) < 0:
+            found = sample
+            break
+    if found < 0:
+        bits = sample
+        for _ in range(MAX_REPAIR_STEPS):
+            t = violation(bits)
+            if t < 0:
+                found = bits
                 break
-        if found < 0:
-            bits = sample
-            for _ in range(MAX_REPAIR_STEPS):
-                t = violation(bits)
-                if t < 0:
-                    found = bits
-                    break
-                outside = GroupSubset(grp, full ^ bits).indices()
-                if not outside:
-                    break  # target_size == |G|: no room to repair
-                inside = GroupSubset(grp, masks[t]).indices()
-                bits ^= 1 << rng.choice(inside)
-                bits |= 1 << rng.choice(outside)
-        if found < 0 and g <= EXACT_FALLBACK_LIMIT:
-            # B avoids every translate iff its complement hits every translate.
-            size, hitting, _ = _solve_hitting_set(translate_family(pattern), None, g - target_size)
-            if size <= g - target_size:
-                found = full ^ hitting
-                while found.bit_count() > target_size:
-                    found ^= 1 << (found.bit_length() - 1)
-        if found < 0:
-            raise SearchExhaustedError(
-                f"no avoiding set of size {target_size} found within budgets"
-            )
-
-    return certify(GroupSubset(grp, found), pattern)
+            outside = _bit_indices(full ^ bits)
+            if not outside:
+                break  # target_size == g: no room to repair
+            inside = _bit_indices(masks[t])
+            bits ^= 1 << rng.choice(inside)
+            bits |= 1 << rng.choice(outside)
+    if found < 0 and g <= EXACT_FALLBACK_LIMIT:
+        # B avoids every translate iff its complement hits every translate.
+        size, hitting, _ = _solve_hitting_set(masks, g, None, g - target_size)
+        if size <= g - target_size:
+            found = full ^ hitting
+            while found.bit_count() > target_size:
+                found ^= 1 << (found.bit_length() - 1)
+    if found < 0:
+        raise SearchExhaustedError(f"no avoiding set of size {target_size} found within budgets")
+    return found
 
 
 def construct_thm2(pattern: GroupSubset, *, seed: int = 0) -> Certificate:
     """Avoiding set of size thm2_lower - 1 built from a quotient avoider.
 
-    With H the pattern's stabilizer, search the quotient G/H for a set of
-    classes avoiding the projected pattern, take its full preimage, and adjoin
-    every other coset minus its maximum flat index.  A translate of the
-    pattern is a union of H-cosets; its class set is a quotient translate, so
-    it meets a punctured coset and cannot fit.  A quotient above
+    With H the pattern's stabilizer, search G/H for a set of classes avoiding
+    S/H, on int class masks (mask t: the classes of representatives[t] + S),
+    then take its full preimage and adjoin every other coset minus its
+    maximum flat index (_lift).  A translate of the pattern is a union of
+    H-cosets whose class set is one of the masks, so it meets a punctured
+    coset and cannot fit; only the lift is verified, in G.  A quotient above
     MAX_SEARCH_ORDER raises BudgetExceededError before the quotient is built.
     """
     if pattern.bits == 0:
@@ -142,11 +153,19 @@ def construct_thm2(pattern: GroupSubset, *, seed: int = 0) -> Certificate:
     sub = stabilizer(pattern)
     _check_search_args(grp.size // sub.order, seed)
     view = quotient_view(grp, sub)
-    projected = project_subset(pattern, view)
-    target = ceil_root_power(view.size, projected.size - 1, projected.size) - 1
+    classes = project_subset(pattern, view)
+    k = classes.bit_count()  # |S/H|
+    target = ceil_root_power(view.size, k - 1, k) - 1
 
-    inner = search_avoider(projected, target, seed=seed)
-    candidate = _lift(view, inner.avoiding_set.bits)
+    members = [view.representatives[c] for c in _bit_indices(classes)]
+    projection, add = view.projection, grp.add
+    masks = []
+    for r in view.representatives:
+        mask = 0
+        for x in members:
+            mask |= 1 << projection[add(r, x)]
+        masks.append(mask)
+    candidate = _lift(view, _search(masks, target, seed))
 
     expected = thm2_lower(grp.size, sub.order, pattern.size) - 1
     if candidate.size != expected:

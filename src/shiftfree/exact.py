@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, DomainMismatchError, EmptySetError
-from .groups import GroupLike, GroupSubset, _lift, quotient_view, stabilizer
+from .groups import Group, GroupSubset, _lift, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -126,18 +126,15 @@ def certify(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
 class TranslateFamily:
     """The distinct translates of one pattern, indexed by transversal order.
 
-    min_hitting_set relies on one invariant: the family is closed under a
-    group of symmetries acting transitively on the elements its sets cover
-    (translation by G for a translate family, K/H for exact_N's component
-    masked to one maximum per coset).  Without it the returned set can
-    exceed the minimum.
+    Translation by G moves any element its sets cover onto any other, the
+    invariant min_hitting_set needs (see _solve_hitting_set).
     """
 
     universe_size: int
     sets: tuple[GroupSubset, ...]
 
     @property
-    def group(self) -> GroupLike:
+    def group(self) -> Group:
         return self.sets[0].group
 
 
@@ -153,33 +150,34 @@ def translate_family(pattern: GroupSubset) -> TranslateFamily:
 
 def min_hitting_set(family: TranslateFamily) -> tuple[int, GroupSubset]:
     """Minimum-size subset of the universe meeting every family set."""
-    size, bits, _ = _solve_hitting_set(family, None)
+    sets = [s.bits for s in family.sets]
+    size, bits, _ = _solve_hitting_set(sets, family.universe_size, None)
     return size, GroupSubset(family.group, bits)
 
 
 def _solve_hitting_set(
-    family: TranslateFamily, deadline: float | None, limit: int | None = None
+    set_bits: list[int], universe: int, deadline: float | None, limit: int | None = None
 ) -> tuple[int, int, int]:
-    """(size, bits, nodes) of a minimum hitting set.
+    """(size, bits, nodes) of a minimum hitting set of the masks over elements [0, universe).
 
     With a limit, stop at the first hitting set of size <= limit instead of
-    proving a minimum; a returned size above limit means none exists.
+    proving a minimum; a returned size above limit means none exists.  Some
+    group of symmetries of the masks must act transitively on the elements
+    they cover (G, G/H or K/H here), or the result can exceed the minimum.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetExceededError("hitting-set search exceeded its wall-clock budget")
-    u = family.universe_size
-    set_bits = [s.bits for s in family.sets]
     n_sets = len(set_bits)
     all_covered = (1 << n_sets) - 1
 
-    elem_sets = [0] * u
+    elem_sets = [0] * universe
     for j, sb in enumerate(set_bits):
         b = sb
         while b:
             low = b & -b
             elem_sets[low.bit_length() - 1] |= 1 << j
             b ^= low
-    candidates = [e for e in range(u) if elem_sets[e]]  # the elements some set holds
+    candidates = [e for e in range(universe) if elem_sets[e]]  # the elements some set holds
     # Admissible pruning cap: no element hits more sets than this.  On a
     # translate family the regularity invariant makes it exactly |S|/|H|.
     per_elem = max(elem_sets[e].bit_count() for e in candidates)
@@ -204,7 +202,7 @@ def _solve_hitting_set(
         best_size = limit + 1
 
     nodes = 0
-    full_universe = (1 << u) - 1
+    full_universe = (1 << universe) - 1
 
     def dfs(chosen_bits: int, count: int, covered: int, banned: int) -> bool:
         """Search below this node; True once a limited solve may stop."""
@@ -222,7 +220,7 @@ def _solve_hitting_set(
             return False
         # Branch on the uncovered set with the fewest surviving candidates.
         avail = full_universe & ~banned
-        branch_j, branch_cands, branch_count = -1, 0, u + 1
+        branch_j, branch_cands, branch_count = -1, 0, universe + 1
         rem = all_covered ^ covered
         while rem:
             low = rem & -rem
@@ -292,22 +290,22 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
         # Each translate is one H-coset, hit by its one maximum.
         witness_bits, nodes = maxima, 0
     else:
-        family = translate_family(pattern).sets
+        family = [t.bits for t in translate_family(pattern).sets]
         # S's connected component, by overlap, is the K-coset s0 + K.
-        block, prev = family[0].bits, 0
+        block, prev = family[0], 0
         while block != prev:
             prev = block
             for t in family:
-                if t.bits & block:
-                    block |= t.bits
-        core = tuple(GroupSubset(grp, t.bits & maxima) for t in family if t.bits & block)
-        _, witness_bits, nodes = _solve_hitting_set(TranslateFamily(g, core), deadline)
+                if t & block:
+                    block |= t
+        core = [t & maxima for t in family if t & block]
+        _, witness_bits, nodes = _solve_hitting_set(core, g, deadline)
         if len(core) < len(family):
             # Lift: r + witness hits the whole copy r + S lies in; the copies
             # are disjoint, so each K-coset gets exactly one.
             witness = GroupSubset(grp, witness_bits)
             for r, t in zip(view.representatives, family):
-                if not t.bits & witness_bits:
+                if not t & witness_bits:
                     witness_bits |= witness.translate(r).bits
     avoider = certify(GroupSubset(grp, witness_bits).complement(), pattern).avoiding_set
     return ExactResult(max_avoider=avoider, nodes=nodes)

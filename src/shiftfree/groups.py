@@ -8,19 +8,19 @@ view.  Subsets are arbitrary-precision ints used as bitsets, bit i = element i,
 which keeps translate/compare/intersect at machine speed for the sizes the
 exact solver can reach.
 
-Quotients are never re-decomposed into cyclic invariant factors.  A Quotient
-is the list of coset-class indices in transversal order together with the
-projection map, and its group law is representative-sum-then-project.  Both
-Group and Quotient expose the same size/add/neg interface, so every operation
-downstream (stabilizer, transversal, search, verification) runs unchanged on
-quotient data.
+Only a Group has a group law, and every GroupSubset lives in one.  A Quotient
+of G by a subgroup H is not a group here: it is the projection of G onto
+coset-class indices, class i being the coset whose minimum flat index is
+representatives[i] (ascending).  A set of classes is a plain int bitmask over
+class indices; project_subset and preimage_subset convert between such masks
+and unions of H-cosets, and _lift turns one into an avoider of G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DomainMismatchError,
@@ -32,7 +32,6 @@ from .errors import (
 __all__ = [
     "Group",
     "Quotient",
-    "GroupLike",
     "GroupSubset",
     "Subgroup",
     "stabilizer",
@@ -133,17 +132,17 @@ class Group:
 
 
 class Quotient:
-    """Coset classes of base/modulus with the representative-sum group law.
+    """Coset classes of base/modulus: the projection map and its transversal.
 
     Class indices follow transversal order: class i is the coset whose minimum
     flat index is representatives[i], and representatives are sorted ascending.
-    add/neg lift class representatives to the base group, operate there, and
-    project back, so no cyclic-factor presentation of the quotient is needed.
+    The quotient carries no group law of its own; sums are taken in the base
+    group and projected.
     """
 
     __slots__ = ("base", "modulus", "projection", "representatives", "size")
 
-    def __init__(self, base: GroupLike, modulus: "Subgroup"):
+    def __init__(self, base: Group, modulus: "Subgroup"):
         if modulus.group != base:
             raise DomainMismatchError("modulus subgroup does not live in the base group")
         projection = [-1] * base.size
@@ -165,20 +164,6 @@ class Quotient:
         self.representatives = tuple(reps)
         self.size = len(reps)
 
-    zero = 0
-
-    def check_element(self, a: int) -> int:
-        if not 0 <= a < self.size:
-            raise DomainMismatchError(f"class index {a} outside quotient of order {self.size}")
-        return a
-
-    def add(self, a: int, b: int) -> int:
-        reps = self.representatives
-        return self.projection[self.base.add(reps[self.check_element(a)], reps[self.check_element(b)])]
-
-    def neg(self, a: int) -> int:
-        return self.projection[self.base.neg(self.representatives[self.check_element(a)])]
-
     def project(self, a: int) -> int:
         """Class index of a base-group element."""
         self.base.check_element(a)
@@ -186,34 +171,33 @@ class Quotient:
 
     def class_members(self, cls: int) -> list[int]:
         """Flat indices of the base-group coset with class index cls."""
-        self.check_element(cls)
+        if not 0 <= cls < self.size:
+            raise DomainMismatchError(f"class index {cls} outside quotient of order {self.size}")
         return [a for a in range(self.base.size) if self.projection[a] == cls]
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Quotient)
-            and self.base == other.base
-            and self.modulus.bits == other.modulus.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Quotient", self.base, self.modulus.bits))
 
     def __repr__(self) -> str:
         return f"Quotient(base={self.base!r}, classes={self.size})"
 
 
-GroupLike = Union[Group, Quotient]
+def _bit_indices(bits: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    # One linear pass over the binary digits; peeling the lowest bit off
+    # the int instead copies every bit per element.
+    digits = bin(bits)  # "0b", then the highest bit down to bit 0
+    last = len(digits) - 1
+    out = []
+    j = digits.rfind("1", 2)
+    while j >= 0:
+        out.append(last - j)
+        j = digits.rfind("1", 2, j)
+    return out
 
 
 @dataclass(frozen=True)
 class GroupSubset:
     """Subset of a group's elements stored as a bitset over flat indices."""
 
-    group: GroupLike
+    group: Group
     bits: int
 
     def __post_init__(self):
@@ -221,7 +205,7 @@ class GroupSubset:
             raise DomainMismatchError("bitset has bits outside the group's index range")
 
     @classmethod
-    def from_indices(cls, group: GroupLike, indices: Iterable[int]) -> "GroupSubset":
+    def from_indices(cls, group: Group, indices: Iterable[int]) -> "GroupSubset":
         bits = 0
         for a in indices:
             group.check_element(a)
@@ -229,11 +213,11 @@ class GroupSubset:
         return cls(group, bits)
 
     @classmethod
-    def empty(cls, group: GroupLike) -> "GroupSubset":
+    def empty(cls, group: Group) -> "GroupSubset":
         return cls(group, 0)
 
     @classmethod
-    def full(cls, group: GroupLike) -> "GroupSubset":
+    def full(cls, group: Group) -> "GroupSubset":
         return cls(group, (1 << group.size) - 1)
 
     @property
@@ -247,16 +231,7 @@ class GroupSubset:
         return iter(self.indices())
 
     def indices(self) -> list[int]:
-        # One linear pass over the binary digits; peeling the lowest bit off
-        # the int instead copies all |G| bits per element.
-        digits = bin(self.bits)  # "0b", then bit |G|-1 down to bit 0
-        last = len(digits) - 1
-        out = []
-        j = digits.rfind("1", 2)
-        while j >= 0:
-            out.append(last - j)
-            j = digits.rfind("1", 2, j)
-        return out
+        return _bit_indices(self.bits)
 
     def translate(self, g: int) -> "GroupSubset":
         """The set g + S."""
@@ -349,18 +324,18 @@ def stabilizer(subset: GroupSubset) -> Subgroup:
 
 
 @lru_cache(maxsize=512)
-def quotient_view(group: GroupLike, modulus: Subgroup) -> Quotient:
+def quotient_view(group: Group, modulus: Subgroup) -> Quotient:
     """Coset classes of group/modulus with projection and transversal maps."""
     return Quotient(group, modulus)
 
 
-def transversal(group: GroupLike, modulus: Subgroup) -> tuple[int, ...]:
+def transversal(group: Group, modulus: Subgroup) -> tuple[int, ...]:
     """One representative per modulus-coset: the minimum flat index, ascending."""
     return quotient_view(group, modulus).representatives
 
 
-def project_subset(subset: GroupSubset, view: Quotient) -> GroupSubset:
-    """Image of a union of modulus-cosets as a subset of the quotient classes."""
+def project_subset(subset: GroupSubset, view: Quotient) -> int:
+    """Class-index mask of a union of modulus-cosets: bit i set iff class i is in it."""
     if subset.group != view.base:
         raise DomainMismatchError("subset does not live in the quotient's base group")
     classes = 0
@@ -369,19 +344,18 @@ def project_subset(subset: GroupSubset, view: Quotient) -> GroupSubset:
         low = b & -b
         classes |= 1 << view.projection[low.bit_length() - 1]
         b ^= low
-    if preimage_subset(GroupSubset(view, classes), view).bits != subset.bits:
+    if preimage_subset(classes, view).bits != subset.bits:
         raise NotCosetUnionError("subset is not a union of cosets of the modulus")
-    return GroupSubset(view, classes)
+    return classes
 
 
-def preimage_subset(class_subset: GroupSubset, view: Quotient) -> GroupSubset:
-    """Union of the base-group cosets whose class indices are in class_subset."""
-    if class_subset.group != view:
-        raise DomainMismatchError("class subset does not live in the given quotient")
+def preimage_subset(classes: int, view: Quotient) -> GroupSubset:
+    """Union of the base-group cosets whose class indices are set in the mask."""
+    if not 0 <= classes < (1 << view.size):
+        raise DomainMismatchError("class mask has bits outside the quotient's class indices")
     bits = 0
-    cbits = class_subset.bits
     for a, cls in enumerate(view.projection):
-        if (cbits >> cls) & 1:
+        if (classes >> cls) & 1:
             bits |= 1 << a
     return GroupSubset(view.base, bits)
 
@@ -396,7 +370,7 @@ def _lift(view: Quotient, classes: int) -> GroupSubset:
     return GroupSubset(view.base, bits)
 
 
-def subgroup_generated(group: GroupLike, generators: Iterable[int]) -> Subgroup:
+def subgroup_generated(group: Group, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators, by closure iteration."""
     bits = 1  # the zero element
     frontier = [0]

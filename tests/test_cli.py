@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import shiftfree
-from shiftfree import cli, exact
+from shiftfree import cli, construct, exact
 from shiftfree.cli import format_group, main, parse_group, parse_set
 from shiftfree.errors import DomainMismatchError, ParseError
 from shiftfree.exact import exact_N
@@ -65,7 +65,7 @@ def test_parse_group_forms():
 
 
 def test_parse_group_rejects_garbage():
-    for bad in ("", "4", "Zx2", "Q9", "Z-3", "Z0", "Z4x", "Z4*Z2"):
+    for bad in ("", "4", "Zx2", "Q9", "Z-3", "Z0", "Z4x", "Z4*Z2", "Z\u0661\u0662", "Z1_2"):
         with pytest.raises(ParseError):
             parse_group(bad)
 
@@ -91,7 +91,8 @@ def test_parse_set_explicit_forms():
 
 def test_parse_set_explicit_errors():
     z6 = Group([6])
-    for bad in ("{0,1", "{a}", "{(1,2}", "{0,,1}", "{(1))}", "0,1"):
+    for bad in ("{0,1", "{a}", "{(1,2}", "{0,,1}", "{(1))}", "0,1", "{1_0}", "{+1}",
+                "{\u0661}", "{(1_0,0)}", "{(\u0661,0)}"):
         with pytest.raises(ParseError):
             parse_set(bad, z6)
     with pytest.raises(DomainMismatchError):
@@ -125,6 +126,9 @@ def test_parse_set_coset_form_errors():
         parse_set("cosets(order=3; reps=)", Group([12]))
     with pytest.raises(ParseError):
         parse_set("cosets(order=3)", Group([12]))
+    for bad in ("cosets(order=\u0663; reps=0)", "cosets(order=3; reps=0 1)"):
+        with pytest.raises(ParseError):
+            parse_set(bad, Group([12]))
 
 
 # -- bounds command -----------------------------------------------------------
@@ -334,6 +338,11 @@ def test_construct_flag_validation():
     assert code == 1
     code, _, _ = run_cli(["construct", "Z6", "{0,1}", "--method", "search"])
     assert code == 1
+    # search needs a trivial stabilizer; the refusal names H's order and the way out.
+    code, out, err = run_cli(["construct", "Z12", "{0,6}", "--method", "search", "--target", "3"])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "order 2" in err and "--method thm2" in err
 
 
 def test_construct_deterministic_bytes():
@@ -429,6 +438,12 @@ def test_usage_errors_exit_one():
     assert run_cli(["bounds", "Z6", "{0}", "--format", "yaml"])[0] == 1
     assert run_cli(["construct", "Z6", "{0,1}", "--seed", "-2"])[0] == 1
     assert run_cli(["exact", "Z6", "{0,1}", "--budget-ms", "0"])[0] == 1
+    # Only ASCII digits are numbers: int() alone reads these as Z12 and 1000.
+    for argv in (["bounds", "Z\u0661\u0662", "{0,1}"], ["bounds", "Z2000", "{0,1_000}"]):
+        code, out, err = run_cli(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_flags_only_on_the_command_that_reads_them():
@@ -445,6 +460,14 @@ def test_internal_error_exits_five(monkeypatch):
     def unverified(candidate, pattern):
         return exact.Certificate(candidate, pattern, witness=0)
 
+    def exits_five(argv):
+        code, out, err = run_cli(argv)
+        assert code == 5, argv
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: internal error")
+        assert "Traceback" not in err
+        return err
+
     monkeypatch.setattr(exact, "verify_avoids", unverified)
     for argv in (
         ["construct", "Z4", "{0,2}", "--method", "thm1"],
@@ -453,11 +476,15 @@ def test_internal_error_exits_five(monkeypatch):
         ["exact", "Z6", "{0,1}"],
         ["exact", "Z8", "{0,4}"],  # a single coset: no search runs
     ):
-        code, out, err = run_cli(argv)
-        assert code == 5, argv
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: internal error")
-        assert "Traceback" not in err
+        exits_five(argv)
+    monkeypatch.undo()
+
+    # construct_thm2 verifies only the lift in G.  A class set of the right
+    # size that holds S/H itself lifts to a set holding S.
+    monkeypatch.setattr(construct, "_search", lambda masks, target_size, seed: masks[0])
+    for group, pattern in (("Z6", "{0,1}"), ("Z12", "{0,1,6,7}")):  # H trivial, {0,6}
+        err = exits_five(["construct", group, pattern, "--method", "thm2"])
+        assert "contains the translate" in err
 
 
 def test_memory_error_exits_three(monkeypatch):

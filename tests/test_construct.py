@@ -1,5 +1,6 @@
 """Avoiding-set constructions, the verifier, and the seeded search."""
 
+import hashlib
 import random
 
 import pytest
@@ -20,14 +21,7 @@ from shiftfree.errors import (
     SearchExhaustedError,
 )
 from shiftfree.exact import naive_exact
-from shiftfree.groups import (
-    Group,
-    GroupSubset,
-    project_subset,
-    quotient_view,
-    stabilizer,
-    subgroup_generated,
-)
+from shiftfree.groups import Group, GroupSubset, quotient_view, stabilizer, subgroup_generated
 
 # Every group of order <= 10, one presentation per multiset of factor orders.
 ORDERS_UP_TO_10 = [
@@ -44,6 +38,17 @@ def contains_translate_anywhere(candidate: GroupSubset, pattern: GroupSubset) ->
     return any(
         all(grp.add(t, x) in cand for x in members) for t in grp.elements()
     )
+
+
+def presentations(n: int) -> list[list[int]]:
+    """Every ordered tuple of cyclic factors >= 2 with product n; [1] for n = 1."""
+    if n == 1:
+        return [[1]]
+    out = [[n]]
+    for f in range(2, n):
+        if n % f == 0:
+            out += [[f] + rest for rest in presentations(n // f)]
+    return out
 
 
 def coset_union(group: Group, generator: int, reps: list[int]) -> GroupSubset:
@@ -271,7 +276,7 @@ def test_search_avoider_is_deterministic_per_seed():
 def test_search_avoider_input_checks():
     grp = Group([4])
     coset = GroupSubset.from_indices(grp, [0, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order 2.*--method thm2"):
         search_avoider(coset, 1)  # nontrivial stabilizer
     pair = GroupSubset.from_indices(grp, [0, 1])
     with pytest.raises(ValueError):
@@ -332,8 +337,8 @@ def test_construct_thm2_size_formula_random_instances():
 
 def test_construct_thm2_output_structure():
     # The result decomposes into whole stabilizer cosets (the lifted quotient
-    # avoider) plus cosets missing exactly one element, and the lifted part
-    # projects to a class set that itself avoids the projected pattern.
+    # avoider) plus cosets missing exactly one element, and the whole cosets
+    # alone hold no translate of the pattern.
     grp = Group([12])
     pattern = coset_union(grp, 6, [0, 1])  # two cosets of {0,6}
     cert = construct_thm2(pattern, seed=2)
@@ -348,8 +353,62 @@ def test_construct_thm2_output_structure():
         assert inside in (h, h - 1)
         if inside == h:
             full_classes.append(cls)
-    lifted = GroupSubset.from_indices(view, full_classes)
-    assert verify_avoids(lifted, project_subset(pattern, view)).verified
+    whole = {a for cls in full_classes for a in view.class_members(cls)}
+    members = pattern.indices()
+    assert not any({grp.add(t, x) for x in members} <= whole for t in grp.elements())
+
+
+def test_construct_thm2_whole_classes_avoid_exhaustive():
+    # construct_thm2 searches G/H on class masks; its whole H-cosets must
+    # avoid S/H.  Every pattern holding 0 with a nontrivial stabilizer, in
+    # every presentation of order <= 12, checked with plain sets in G.
+    checked = 0
+    for n in range(1, 13):
+        for orders in presentations(n):
+            grp = Group(orders)
+            for bits in range(1, 1 << grp.size, 2):
+                pattern = GroupSubset(grp, bits)
+                sub = stabilizer(pattern)
+                if sub.order == 1:
+                    continue
+                cert = construct_thm2(pattern)
+                assert cert.size == thm2_lower(grp.size, sub.order, pattern.size) - 1
+                view = quotient_view(grp, sub)
+                avoider = set(cert.avoiding_set.indices())
+                whole = {
+                    a
+                    for cls in range(view.size)
+                    if set(view.class_members(cls)) <= avoider
+                    for a in view.class_members(cls)
+                }
+                members = pattern.indices()
+                for t in grp.elements():
+                    translate = {grp.add(t, x) for x in members}
+                    assert not translate <= whole, (pattern, t)
+                    assert not translate <= avoider, (pattern, t)
+                checked += 1
+    assert checked == 752
+
+
+def test_construct_thm2_pinned_outputs(monkeypatch):
+    # Avoider bits recorded while the search still ran on a quotient group
+    # with its own group law; the class-mask search must reproduce them, so
+    # class order and the seeded draw sequence must not move.
+    two_factor = GroupSubset.from_indices(Group([3, 4]), [0, 1, 5])  # trivial H
+    union = coset_union(Group([12]), 6, [0, 1, 3])  # H = {0, 6}
+    assert construct_thm2(two_factor, seed=0).avoiding_set.bits == 1302  # {1, 2, 4, 8, 10}
+    assert construct_thm2(union, seed=2).avoiding_set.bits == 3199  # {0..6, 10, 11}
+    cert = construct_thm2(coset_union(Group([2024]), 253, [0, 1, 2]), seed=11)
+    assert cert.size == 1811
+    digest = hashlib.sha256(cert.avoiding_set.bits.to_bytes(253, "little")).hexdigest()
+    assert digest == "540dae07bf58a1c1ae801e123f3123b5f35092996f5aef10cd945c577abe2947"
+
+    # The random phase succeeds on all three; the hitting-set fallback on
+    # class masks is pinned with the other phases switched off.
+    monkeypatch.setattr(construct, "MAX_RANDOM_RESTARTS", 0)
+    monkeypatch.setattr(construct, "MAX_REPAIR_STEPS", 0)
+    assert construct_thm2(two_factor, seed=0).avoiding_set.bits == 182  # {1, 2, 4, 5, 7}
+    assert construct_thm2(union, seed=2).avoiding_set.bits == 3647  # {0..5, 9, 10, 11}
 
 
 def test_construct_thm2_deterministic_for_fixed_seed():

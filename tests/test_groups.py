@@ -358,40 +358,6 @@ def test_quotient_fibers_have_subgroup_order():
                 assert len(view.class_members(cls)) == sub.order
 
 
-def test_quotient_projection_is_homomorphism():
-    for orders in ([12], [2, 6], [2, 2, 3]):
-        grp = Group(orders)
-        for gen in (1, 2, grp.size - 1):
-            view = quotient_view(grp, subgroup_generated(grp, [gen]))
-            for a in grp.elements():
-                for b in grp.elements():
-                    assert view.project(grp.add(a, b)) == view.add(
-                        view.project(a), view.project(b)
-                    )
-
-
-def test_quotient_satisfies_group_axioms():
-    grp = Group([12])
-    view = quotient_view(grp, subgroup_generated(grp, [4]))  # classes of {0,4,8}
-    assert view.size == 4
-    for a in view.elements():
-        assert view.add(a, view.neg(a)) == view.zero
-        for b in view.elements():
-            assert view.add(a, b) == view.add(b, a)
-
-
-def test_quotient_supports_the_whole_subset_api():
-    # A Quotient is a group for every downstream operation: stabilizers,
-    # transversals and nested subsets all run on quotient data unchanged.
-    grp = Group([12])
-    view = quotient_view(grp, subgroup_generated(grp, [6]))
-    assert view.size == 6
-    pattern = GroupSubset.from_indices(view, [0, 1])
-    assert stabilizer(pattern).order == 1
-    assert transversal(view, stabilizer(pattern)) == tuple(range(6))
-    assert pattern.translate(2).indices() == [2, 3]
-
-
 def test_quotient_rejects_foreign_modulus():
     z6 = Group([6])
     z4 = Group([4])
@@ -407,20 +373,20 @@ def test_project_subset_anchors():
     h = subgroup_generated(z4, [2])
     view = quotient_view(z4, h)
     s = GroupSubset.from_indices(z4, [0, 2])
-    assert project_subset(s, view).size == 1
+    assert project_subset(s, view) == 0b01  # class 0 only
 
     grp = Group([2024])
     sub = subgroup_generated(grp, [253])
     coset = GroupSubset(grp, sub.bits)
     union2 = coset.union(coset.translate(1))
-    assert project_subset(union2, quotient_view(grp, sub)).size == 2
+    assert project_subset(union2, quotient_view(grp, sub)) == 0b11
 
 
 def test_project_subset_trivial_modulus_is_identity():
     z6 = Group([6])
     view = quotient_view(z6, subgroup_generated(z6, []))
     s = GroupSubset.from_indices(z6, [1, 4, 5])
-    assert project_subset(s, view).indices() == [1, 4, 5]
+    assert project_subset(s, view) == s.bits
 
 
 def test_project_preimage_round_trip():
@@ -437,7 +403,7 @@ def test_project_preimage_round_trip():
                 bits |= coset.translate(r).bits
             s = GroupSubset(grp, bits)
             classes = project_subset(s, view)
-            assert classes.size == len(reps)
+            assert classes.bit_count() == len(reps)
             assert preimage_subset(classes, view).bits == s.bits
 
 
@@ -454,5 +420,8 @@ def test_projection_domain_checks():
     view = quotient_view(z6, subgroup_generated(z6, [3]))
     with pytest.raises(DomainMismatchError):
         project_subset(GroupSubset.from_indices(z4, [0]), view)
-    with pytest.raises(DomainMismatchError):
-        preimage_subset(GroupSubset.from_indices(z4, [0]), view)
+    # The view has three classes, so a class mask must lie in [0, 2**3).
+    assert preimage_subset(0b111, view).bits == GroupSubset.full(z6).bits
+    for bad in (1 << 3, -1):
+        with pytest.raises(DomainMismatchError):
+            preimage_subset(bad, view)
