@@ -45,7 +45,7 @@ def parse_group(text: str) -> Group:
     compact = "".join(text.split())
     if not _GROUP_RE.match(compact):
         raise ParseError(f"unrecognized group spec {text!r}")
-    orders = [int(part[1:]) for part in re.split("[xX]", compact)]
+    orders = [_to_int(part[1:], text) for part in re.split("[xX]", compact)]
     if any(m == 0 for m in orders):
         raise ParseError(f"group spec {text!r} has a zero-order factor")
     return Group(orders)
@@ -86,11 +86,11 @@ def _parse_explicit(text: str, group: Group) -> GroupSubset:
             coords = [p.strip() for p in item[1:-1].split(",")]
             if not all(map(_is_number, coords)):
                 raise ParseError(f"bad coordinate tuple {item!r}")
-            indices.append(group.flat_index([int(p) for p in coords]))
+            indices.append(group.flat_index([_to_int(p, text) for p in coords]))
         else:
             if not _is_number(item):
                 raise ParseError(f"bad element {item!r} in set spec")
-            flat = int(item)
+            flat = _to_int(item, text)
             group.check_element(flat)
             indices.append(flat)
     return GroupSubset.from_indices(group, indices)
@@ -99,6 +99,15 @@ def _parse_explicit(text: str, group: Group) -> GroupSubset:
 def _is_number(token: str) -> bool:
     """ASCII digits only: int() alone also takes "1_000" and other scripts' digits."""
     return token.isascii() and token.isdigit()
+
+
+def _to_int(digits: str, spec: str) -> int:
+    """Value of an ASCII digit string from spec; int() refuses more than 4,300 digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        shown = spec if len(spec) <= 40 else spec[:40] + "..."
+        raise ParseError(f"a number in spec {shown!r} has {len(digits)} digits, too many") from None
 
 
 def _split_top_level(body: str) -> list[str]:
@@ -125,7 +134,7 @@ def _parse_cosets(text: str, group: Group) -> GroupSubset:
         raise ParseError(f"unrecognized coset spec {text!r}")
     if sum(m > 1 for m in group.orders) > 1:
         raise ParseError("cosets(...) specs are only defined for cyclic groups")
-    order = int(match.group(1))
+    order = _to_int(match.group(1), text)
     reps = [p.strip() for p in match.group(2).split(",") if p.strip()]
     if not reps:
         raise ParseError(f"coset spec {text!r} lists no representatives")
@@ -133,7 +142,7 @@ def _parse_cosets(text: str, group: Group) -> GroupSubset:
         raise ParseError(f"bad representative in coset spec {text!r}")
     if order < 1 or group.size % order != 0:
         raise ParseError(f"subgroup order {order} does not divide the group order {group.size}")
-    return _coset_union(group, order, [int(p) for p in reps])
+    return _coset_union(group, order, [_to_int(p, text) for p in reps])
 
 
 def _coset_union(group: Group, order: int, reps: Iterable[int]) -> GroupSubset:

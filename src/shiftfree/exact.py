@@ -16,16 +16,24 @@ one maximum.  Each translate t + S also lies in one coset of the difference
 subgroup K = <S - S> (K contains H), and translates overlap only inside one,
 so the family is [G:K] disjoint translated copies of the translates inside
 s0 + K.  That coset is the connected component of S itself, found by ORing
-overlapping family sets.  Solve: the branch and bound runs on that
-component's masked sets alone, at most |K/H| candidates.  Lift: the witness
-is translated onto every other K-coset by the first family element's shift
+overlapping family sets.  Solve: the search runs on that component's
+masked sets alone, at most |K/H| candidates.  Lift: the witness is
+translated onto every other K-coset by the first family element's shift
 there, so tau(G, S) = [G:K] tau(K, S - s0).
 
-The solver is a sequential branch and bound: greedy incumbent first, then
-depth-first branching on an uncovered set with the fewest remaining candidate
-elements, elements in ascending flat order, with the admissible bound
+The solver is a memoized frontier search: greedy incumbent first, then a
+depth-first search that always branches on the first uncovered set, over
+all of its elements in ascending flat order, with the admissible bound
 ceil(uncovered / max_sets_per_element).  Every element of G lies in exactly
-|S|/|H| family sets, which makes that bound exact to compute.
+|S|/|H| family sets, which makes that bound exact to compute.  The sets are
+first put in Cuthill-McKee order (Cuthill and McKee, 1969), breadth-first
+over their overlap graph, so the sets a partial choice has covered beyond
+the first uncovered one form a narrow band.  The subtree below a node
+depends only on its covered-set mask, so a table from mask to the fewest
+elements that reached it cuts every repeat: on short-span patterns the
+search behaves like a transfer-matrix dynamic program over that band.  The
+table is bounded (MEMO_MAX_ENTRIES); once full it stops growing, and the
+search stays exact with less pruning.
 
 The search starts with the lowest candidate element z already chosen.  Every
 family solved here is closed under a group of symmetries that moves any
@@ -53,7 +61,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, DomainMismatchError, EmptySetError
-from .groups import Group, GroupSubset, _lift, quotient_view, stabilizer
+from .groups import Group, GroupSubset, _bit_indices, _lift, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -70,6 +78,8 @@ __all__ = [
 DEFAULT_MAX_ORDER = 40
 DEFAULT_BUDGET_MS = 10_000
 NAIVE_MAX_ORDER = 16
+# Covered-set masks _solve_hitting_set remembers; 2**18 of them take about 20 MB.
+MEMO_MAX_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,45 @@ def min_hitting_set(family: TranslateFamily) -> tuple[int, GroupSubset]:
     return size, GroupSubset(family.group, bits)
 
 
+def _element_sets(set_bits: list[int], universe: int) -> list[int]:
+    """For each element of [0, universe), the mask of the sets that hold it."""
+    elem_sets = [0] * universe
+    for j, sb in enumerate(set_bits):
+        bit = 1 << j
+        while sb:
+            low = sb & -sb
+            elem_sets[low.bit_length() - 1] |= bit
+            sb ^= low
+    return elem_sets
+
+
+def _bandwidth_order(set_bits: list[int], elem_sets: list[int]) -> list[int]:
+    """Cuthill-McKee order of the sets: breadth-first over their overlap graph.
+
+    Cuthill-McKee starts each component at a peripheral set and takes new
+    neighbours by ascending degree.  Every family solved here is transitive
+    on the sets of each component (a translation moves any translate onto
+    any other), so all of them share one degree and one eccentricity: the
+    component's lowest set is peripheral, and neighbours go by index.
+    """
+    order: list[int] = []
+    placed = 0
+    for root in range(len(set_bits)):
+        if placed >> root & 1:
+            continue
+        placed |= 1 << root
+        queue = [root]
+        for j in queue:
+            fresh = 0
+            for e in _bit_indices(set_bits[j]):
+                fresh |= elem_sets[e]
+            fresh &= ~placed
+            placed |= fresh
+            queue += _bit_indices(fresh)
+        order += queue
+    return order
+
+
 def _solve_hitting_set(
     set_bits: list[int], universe: int, deadline: float | None, limit: int | None = None
 ) -> tuple[int, int, int]:
@@ -164,23 +213,23 @@ def _solve_hitting_set(
     proving a minimum; a returned size above limit means none exists.  Some
     group of symmetries of the masks must act transitively on the elements
     they cover (G, G/H or K/H here), or the result can exceed the minimum.
+    nodes counts the search nodes expanded; the search is the module
+    docstring's memoized frontier search.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetExceededError("hitting-set search exceeded its wall-clock budget")
     n_sets = len(set_bits)
     all_covered = (1 << n_sets) - 1
 
-    elem_sets = [0] * universe
-    for j, sb in enumerate(set_bits):
-        b = sb
-        while b:
-            low = b & -b
-            elem_sets[low.bit_length() - 1] |= 1 << j
-            b ^= low
+    elem_sets = _element_sets(set_bits, universe)
+    set_bits = [set_bits[j] for j in _bandwidth_order(set_bits, elem_sets)]
+    elem_sets = _element_sets(set_bits, universe)
     candidates = [e for e in range(universe) if elem_sets[e]]  # the elements some set holds
     # Admissible pruning cap: no element hits more sets than this.  On a
-    # translate family the regularity invariant makes it exactly |S|/|H|.
+    # translate family the regularity invariant makes it exactly |S|/|H|, so
+    # once k sets are covered at least more[k] further elements are needed.
     per_elem = max(elem_sets[e].bit_count() for e in candidates)
+    more = [-(-(n_sets - k) // per_elem) for k in range(n_sets + 1)]
 
     # Greedy incumbent: repeatedly take the element covering the most
     # still-uncovered sets, smallest flat index on ties.
@@ -202,53 +251,44 @@ def _solve_hitting_set(
         best_size = limit + 1
 
     nodes = 0
-    full_universe = (1 << universe) - 1
+    fewest: dict[int, int] = {}  # covered mask -> fewest elements it was reached with
+    reached = fewest.get
 
-    def dfs(chosen_bits: int, count: int, covered: int, banned: int) -> bool:
-        """Search below this node; True once a limited solve may stop."""
+    def dfs(chosen_bits: int, count: int, covered: int) -> bool:
+        """Expand a node that may still beat best_size; True once a limited solve may stop."""
         nonlocal best_bits, best_size, nodes
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             raise BudgetExceededError("hitting-set search exceeded its wall-clock budget")
-        if covered == all_covered:
-            if count < best_size:
-                best_size, best_bits = count, chosen_bits
-                return limit is not None
-            return False
-        uncov_count = (all_covered ^ covered).bit_count()
-        if count + -(-uncov_count // per_elem) >= best_size:
-            return False
-        # Branch on the uncovered set with the fewest surviving candidates.
-        avail = full_universe & ~banned
-        branch_j, branch_cands, branch_count = -1, 0, universe + 1
         rem = all_covered ^ covered
-        while rem:
-            low = rem & -rem
-            j = low.bit_length() - 1
-            cands = set_bits[j] & avail
-            c = cands.bit_count()
-            if c < branch_count:
-                branch_j, branch_cands, branch_count = j, cands, c
-                if c == 0:
-                    break
-            rem ^= low
-        if branch_count == 0:
-            return False
-        b = branch_cands
-        local_ban = banned
+        count += 1
+        b = set_bits[(rem & -rem).bit_length() - 1]  # the first uncovered set
         while b:
             low = b & -b
-            e = low.bit_length() - 1
-            if dfs(chosen_bits | low, count + 1, covered | elem_sets[e], local_ban):
-                return True
-            local_ban |= low
             b ^= low
+            child = covered | elem_sets[low.bit_length() - 1]
+            if child == all_covered:
+                if count < best_size:
+                    best_size, best_bits = count, chosen_bits | low
+                    if limit is not None:
+                        return True
+            elif count + more[child.bit_count()] < best_size:
+                seen = reached(child)
+                if seen is None or count < seen:
+                    if seen is not None or len(fewest) < MEMO_MAX_ENTRIES:
+                        fewest[child] = count
+                    if dfs(chosen_bits | low, count, child):
+                        return True
         return False
 
     # Some hitting set of every achievable size holds the lowest candidate z:
     # the family's symmetries move any candidate onto z (module docstring).
     z = candidates[0]
-    dfs(1 << z, 1, elem_sets[z], 0)
+    if elem_sets[z] != all_covered:  # else greedy took an element hitting every set
+        try:
+            dfs(1 << z, 1, elem_sets[z])
+        finally:
+            fewest.clear()  # dfs refers to itself, so its memo would wait for the cycle collector
     return best_size, best_bits, nodes
 
 

@@ -446,6 +446,25 @@ def test_usage_errors_exit_one():
         assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def test_overlong_numbers_are_parse_errors():
+    # int() refuses decimal strings over 4,300 digits with its own message;
+    # every number in a spec is read through one helper that names the spec.
+    ones = "1" * 5000
+    for group, subset, spec in (
+        ("Z12", "{" + ones + "}", "{1111"),
+        ("Z" + ones, "{0,1}", "Z1111"),
+        ("Z3xZ4", "{(0," + ones + ")}", "{(0,1111"),
+        ("Z12", f"cosets(order={ones}; reps=0)", "cosets(order=1111"),
+        ("Z12", f"cosets(order=2; reps=0,{ones})", "cosets(order=2; reps=0,1111"),
+    ):
+        code, out, err = run_cli(["bounds", group, subset])
+        assert code == 1, spec
+        assert out == ""
+        assert err.count("\n") == 1 and f"in spec '{spec}" in err and "5000 digits" in err
+    with pytest.raises(ParseError, match="has 5000 digits"):
+        parse_set("{" + ones + "}", Group([12]))
+
+
 def test_flags_only_on_the_command_that_reads_them():
     assert run_cli(["bounds", "Z6", "{0,1}", "--seed", "1"])[0] == 1
     assert run_cli(["exact", "Z6", "{0,1}", "--seed", "1"])[0] == 1

@@ -8,6 +8,7 @@ import pytest
 
 from shiftfree import exact
 from shiftfree.bounds import bounds_report
+from shiftfree.cli import parse_group, parse_set
 from shiftfree.construct import construct_thm1, verify_avoids
 from shiftfree.errors import BudgetExceededError, EmptySetError
 from shiftfree.exact import (
@@ -127,6 +128,24 @@ def test_min_hitting_set_matches_brute_force():
             assert min_hitting_set(fam)[0] == brute_min_hitting_size(fam)
 
 
+def test_limited_solve_fits_the_limit_exactly_when_the_minimum_does():
+    # construct's search falls back to _solve_hitting_set with a size limit:
+    # it must find a hitting set within the limit iff the minimum fits.
+    rng = random.Random(47)
+    for orders in ([6], [8], [9], [2, 4], [10], [2, 5], [3, 3]):
+        grp = Group(orders)
+        for _ in range(8):
+            fam = translate_family(GroupSubset(grp, rng.randrange(1, 1 << grp.size)))
+            sets = [s.bits for s in fam.sets]
+            tau = brute_min_hitting_size(fam)
+            for limit in range(tau + 2):
+                size, bits, _ = exact._solve_hitting_set(sets, grp.size, None, limit)
+                assert (size <= limit) == (tau <= limit), (fam, limit)
+                if size <= limit:
+                    assert bits.bit_count() == size
+                    assert all(bits & s for s in sets)
+
+
 def test_min_hitting_set_is_deterministic():
     fam = translate_family(GroupSubset.from_indices(Group([12]), [0, 2, 3]))
     assert min_hitting_set(fam) == min_hitting_set(fam)
@@ -224,11 +243,11 @@ def test_exact_n_quotient_path_matches_naive_oracle_exhaustive():
     assert checked == 752
 
 
-def test_exact_n_trivial_stabilizer_matches_naive_oracle_exhaustive():
-    # The search fixes the lowest candidate at its root, which is valid only
-    # because the family is translation-invariant.  One pattern per
-    # translation orbit holding 0, in every presentation of order <= 11.
-    checked = 0
+def trivial_stabilizer_sweep() -> tuple[int, int]:
+    """(patterns, total nodes): exact_N against the oracle, one pattern per
+    translation orbit holding 0 with a trivial stabilizer, in every
+    presentation of order <= 11."""
+    checked = nodes = 0
     for n in range(1, 12):
         for orders in presentations(n):
             grp = Group(orders)
@@ -245,7 +264,39 @@ def test_exact_n_trivial_stabilizer_matches_naive_oracle_exhaustive():
                 assert result.max_avoider.size == result.n_value - 1
                 assert verify_avoids(result.max_avoider, pattern).verified, pattern
                 checked += 1
-    assert checked == 760
+                nodes += result.nodes
+    return checked, nodes
+
+
+def test_exact_n_trivial_stabilizer_matches_naive_oracle_exhaustive():
+    # The search fixes the lowest candidate at its root, which is valid only
+    # because the family is translation-invariant.
+    assert trivial_stabilizer_sweep()[0] == 760
+
+
+def test_exact_n_saturated_memo_matches_naive_oracle_exhaustive(monkeypatch):
+    # Once the memo is full the search stops remembering masks and must stay
+    # exact: the same sweep with room for 8 masks, and for none (a table full
+    # from the start).
+    totals = {}
+    for bound in (8, 0):
+        monkeypatch.setattr(exact, "MEMO_MAX_ENTRIES", bound)
+        checked, totals[bound] = trivial_stabilizer_sweep()
+        assert checked == 760
+    assert totals[0] > totals[8]  # the memo prunes in this sweep
+
+
+def test_exact_n_hard_instances_within_default_budget():
+    # A branch and bound with a banned set and fewest-candidates branching ran
+    # out of the 10 s default budget on the first and took 825,398 and 155,393
+    # nodes on the other two.
+    for group, spec, n in (("Z2xZ20", "{0,1,3}", 21), ("Z2xZ17", "{0,1,16}", 18),
+                           ("Z30", "{0,8,15}", 16)):
+        pattern = parse_set(spec, parse_group(group))
+        result = exact_N(pattern)
+        assert result.n_value == n, group
+        assert verify_avoids(result.max_avoider, pattern).verified, group
+        assert result.nodes < 1_000, group
 
 
 def maximal_subgroups(grp: Group) -> set[int]:
