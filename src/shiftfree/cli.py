@@ -7,6 +7,12 @@ text, json, or csv (csv for the table command only); the machine-readable
 document goes to stdout, diagnostics to stderr.  Exit codes: 0 success or
 verified, 1 usage or parse failure, 2 verification failed, 3 budget exceeded
 (including out of memory), 4 search exhausted, 5 internal error.
+
+Each command is declared once, in COMMANDS.  A call builds only the parser of
+the command it names; the full tree (build_parser) parses argv only when no
+command is named or an argument is not recognized, so that help, usage and
+error text match the tree's.  Integer options take ASCII digits only, as spec
+numbers do.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import re
 import sys
 import time
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import __version__
 from .bounds import BoundsReport, bounds_report
@@ -106,8 +112,12 @@ def _to_int(digits: str, spec: str) -> int:
     try:
         return int(digits)
     except ValueError:
-        shown = spec if len(spec) <= 40 else spec[:40] + "..."
-        raise ParseError(f"a number in spec {shown!r} has {len(digits)} digits, too many") from None
+        raise ParseError(f"a number in spec {_clip(spec)} has {len(digits)} digits, too many") from None
+
+
+def _clip(text: str) -> str:
+    """repr of text cut to its first 40 characters, so an error stays one short line."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
 
 
 def _split_top_level(body: str) -> list[str]:
@@ -413,27 +423,77 @@ def _emit(args: argparse.Namespace, doc: dict, text_fn, csv_fn=None) -> None:
         print("\n".join(text_fn(doc)))
 
 
-def _seed_type(value: str) -> int:
+def _option_int(name: str, value: str) -> int:
+    """An option's integer, read as spec numbers are: ASCII digits, at most 4,300 of them."""
+    if not _is_number(value):
+        raise argparse.ArgumentTypeError(f"{name} must be the digits 0-9 only, got {_clip(value)}")
     try:
-        seed = int(value)
+        return int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed {value!r} is not an integer") from None
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError(f"seed {value!r} does not fit in 64 bits")
+        raise argparse.ArgumentTypeError(f"{name} has {len(value)} digits, too many") from None
+
+
+def _seed(value: str) -> int:
+    seed = _option_int("seed", value)
+    if seed >= 2**64:
+        raise argparse.ArgumentTypeError(f"seed {_clip(value)} does not fit in 64 bits")
     return seed
 
 
-def _positive_type(name: str):
-    def convert(value: str) -> int:
-        try:
-            number = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} {value!r} is not an integer") from None
-        if number < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value!r}")
-        return number
+def _budget(value: str) -> int:
+    budget = _option_int("budget", value)
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"budget must be >= 1, got {_clip(value)}")
+    return budget
 
-    return convert
+
+def _target(value: str) -> int:
+    return _option_int("target", value)
+
+
+def _pattern_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("group")
+    p.add_argument("set")
+
+
+def _exact_args(p: argparse.ArgumentParser) -> None:
+    _pattern_args(p)
+    p.add_argument(
+        "--budget-ms",
+        type=_budget,
+        default=DEFAULT_BUDGET_MS,
+        help="wall-clock budget for the exact solver in milliseconds",
+    )
+
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
+    _pattern_args(p)
+    p.add_argument("--method", choices=("thm1", "thm2", "search"), default="thm2")
+    p.add_argument("--target", type=_target, default=None, help="avoider size for --method search")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for randomized search")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    _pattern_args(p)
+    p.add_argument("candidate")
+
+
+class Command(NamedTuple):
+    """One subcommand: its help line, the filler that adds its arguments, its handler."""
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+
+
+# Every command, in help order; the only place its arguments are declared.
+COMMANDS = {
+    "bounds": Command("all four bounds for a pattern", _pattern_args, _cmd_bounds),
+    "exact": Command("exact N by hitting-set solve", _exact_args, _cmd_exact),
+    "construct": Command("build a certified avoiding set", _construct_args, _cmd_construct),
+    "verify": Command("check a candidate avoiding set", _verify_args, _cmd_verify),
+    "table": Command("bounds table for Z2024 coset unions", lambda p: None, _cmd_table),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -443,60 +503,46 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    parser = _Parser(prog="shiftfree", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", parents=[common], help="all four bounds for a pattern")
-    p.add_argument("group")
-    p.add_argument("set")
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("exact", parents=[common], help="exact N by hitting-set solve")
-    p.add_argument("group")
-    p.add_argument("set")
-    p.add_argument(
-        "--budget-ms",
-        type=_positive_type("budget"),
-        default=DEFAULT_BUDGET_MS,
-        help="wall-clock budget for the exact solver in milliseconds",
-    )
-    p.set_defaults(handler=_cmd_exact)
-
-    p = sub.add_parser("construct", parents=[common], help="build a certified avoiding set")
-    p.add_argument("group")
-    p.add_argument("set")
-    p.add_argument("--method", choices=("thm1", "thm2", "search"), default="thm2")
-    p.add_argument("--target", type=int, default=None, help="avoider size for --method search")
-    p.add_argument("--seed", type=_seed_type, default=0, help="seed for randomized search")
-    p.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser("verify", parents=[common], help="check a candidate avoiding set")
-    p.add_argument("group")
-    p.add_argument("set")
-    p.add_argument("candidate")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("table", parents=[common], help="bounds table for Z2024 coset unions")
-    p.set_defaults(handler=_cmd_table)
-
+def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser the options of command name: --format first, as in its help."""
+    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    COMMANDS[name].add_arguments(parser)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: a top-level parser with one subparser per command."""
+    parser = _Parser(prog="shiftfree", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        _fill(sub.add_parser(name, help=command.help), name)
+    return parser
+
+
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """(command, arguments) of argv; raises SystemExit where argparse exits."""
+    name = argv[0] if argv else ""
+    if name in COMMANDS:
+        # The same parser build_parser hangs under name, built alone.
+        args, extra = _fill(_Parser(prog=f"shiftfree {name}"), name).parse_known_args(argv[1:])
+        if not extra:
+            return name, args
+    # No command, help, an unknown command or unrecognized arguments: the
+    # top-level parser words these, so the whole tree parses argv again.
+    args = build_parser().parse_args(argv)
+    return args.command, args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        name, args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    if args.format == "csv" and args.command != "table":
+    if args.format == "csv" and name != "table":
         print("error: csv format is only available for the table command", file=sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        return COMMANDS[name].handler(args)
     except ValueError as exc:  # every input error of the library subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -214,8 +214,11 @@ def _solve_hitting_set(
     group of symmetries of the masks must act transitively on the elements
     they cover (G, G/H or K/H here), or the result can exceed the minimum.
     nodes counts the search nodes expanded; the search is the module
-    docstring's memoized frontier search.
+    docstring's memoized frontier search.  An empty mask, which nothing can
+    hit, raises EmptySetError.
     """
+    if not all(set_bits):
+        raise EmptySetError("a family holding the empty set has no hitting set")
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetExceededError("hitting-set search exceeded its wall-clock budget")
     n_sets = len(set_bits)

@@ -1,5 +1,6 @@
 """Command-line parsing, output formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -444,6 +445,20 @@ def test_usage_errors_exit_one():
         assert code == 1, argv
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+    # Option integers follow the same rule.
+    construct = ["construct", "Z6", "{0,1}", "--method", "search", "--target", "2"]
+    for option, value in (
+        ("--seed", "\u0661\u0662"),
+        ("--seed", "1_0"),
+        ("--seed", "+3"),
+        ("--target", "\u0661"),
+    ):
+        code, out, err = run_cli(construct + [option, value])
+        assert (code, out) == (1, ""), (option, value)
+        assert f"argument {option}: " in err and len(err.encode()) < 300
+    code, out, err = run_cli(["exact", "Z6", "{0,1}", "--budget-ms", "\u0665"])
+    assert (code, out) == (1, "")
+    assert "argument --budget-ms: " in err and len(err.encode()) < 300
 
 
 def test_overlong_numbers_are_parse_errors():
@@ -463,6 +478,15 @@ def test_overlong_numbers_are_parse_errors():
         assert err.count("\n") == 1 and f"in spec '{spec}" in err and "5000 digits" in err
     with pytest.raises(ParseError, match="has 5000 digits"):
         parse_set("{" + ones + "}", Group([12]))
+    for argv in (
+        ["construct", "Z6", "{0,1}", "--seed", ones],
+        ["construct", "Z6", "{0,1}", "--method", "search", "--target", ones],
+        ["exact", "Z6", "{0,1}", "--budget-ms", ones],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, ""), argv[-2]
+        assert f"argument {argv[-2]}: " in err and "5000 digits" in err
+        assert len(err.encode()) < 300
 
 
 def test_flags_only_on_the_command_that_reads_them():
@@ -470,6 +494,49 @@ def test_flags_only_on_the_command_that_reads_them():
     assert run_cli(["exact", "Z6", "{0,1}", "--seed", "1"])[0] == 1
     assert run_cli(["construct", "Z6", "{0,1}", "--budget-ms", "5"])[0] == 1
     assert run_cli(["table", "--budget-ms", "5"])[0] == 1
+
+
+# Each is refused by argparse or asks it for help, so main runs no command.
+PARSER_ARGVS = [
+    [],
+    ["--help"],
+    ["-h"],
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["frobnicate", "Z6", "{0,1}"],
+    ["--format", "json", "table"],
+    ["bounds", "Z6"],
+    ["verify", "Z6", "{0,1}"],
+    ["bounds", "Z6", "{0,1}", "--format", "yaml"],
+    ["construct", "Z6", "{0,1}", "--method", "greedy"],
+    ["bounds", "Z6", "{0,1}", "--seed", "1"],
+    ["table", "extra"],
+    ["exact", "Z6", "{0,1}", "--budget", "0"],  # abbreviates --budget-ms
+    ["construct", "Z6", "{0,1}", "--seed", "1_0"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_main_parses_like_the_full_parser(argv):
+    # main builds only the named command's parser; every message, usage line
+    # and exit code must match the whole tree's.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+    assert run_cli(argv) == (exc.value.code, out.getvalue(), err.getvalue())
+
+
+def test_one_parser_per_command_call(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(["exact", "Z6", "{0,1}"])[0] == 0
+    assert built == ["shiftfree exact"]
 
 
 def test_internal_error_exits_five(monkeypatch):

@@ -107,6 +107,16 @@ def test_min_hitting_set_anchors():
     assert min_hitting_set(single)[0] == 1
 
 
+def test_min_hitting_set_refuses_an_empty_set():
+    # Nothing hits the empty set: the greedy incumbent used to loop forever
+    # on the first family and reach max() of no candidates on the second.
+    z4 = Group([4])
+    empty = GroupSubset.empty(z4)
+    for sets in ((GroupSubset.from_indices(z4, [0, 1]), empty), (empty, empty)):
+        with pytest.raises(EmptySetError):
+            min_hitting_set(TranslateFamily(4, sets))
+
+
 def test_min_hitting_set_witness_hits_every_set():
     rng = random.Random(41)
     for orders in ([7], [9], [2, 5], [3, 3]):
