@@ -309,7 +309,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.method == "thm2":
         if args.target is not None:
             raise ParseError("--target only applies to --method search")
-        cert = construct_thm2(subset, seed=args.seed)
+        cert = construct_thm2(subset)
     else:
         if args.target is None:
             raise ParseError("--method search requires --target")
@@ -470,7 +470,7 @@ def _construct_args(p: argparse.ArgumentParser) -> None:
     _pattern_args(p)
     p.add_argument("--method", choices=("thm1", "thm2", "search"), default="thm2")
     p.add_argument("--target", type=_target, default=None, help="avoider size for --method search")
-    p.add_argument("--seed", type=_seed, default=0, help="seed for randomized search")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for --method search only")
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:

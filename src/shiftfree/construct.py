@@ -6,8 +6,9 @@ verify_avoids pass over the stabilizer transversal, never the construction's
 own bookkeeping.  Certificate and verify_avoids live in exact and are
 re-exported here.
 
-The randomized search runs on plain int masks, one per translate: of S in G
-for search_avoider, of S/H in G/H as class-index masks for construct_thm2.
+construct_thm2 is deterministic: it lifts the complement of exact's greedy
+hitting set in G/H.  Only search_avoider is randomized, on plain int masks,
+one per translate of S in G, as a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 
 from .bounds import ceil_root_power, thm2_lower
 from .errors import BudgetExceededError, EmptySetError, SearchExhaustedError
-from .exact import Certificate, _solve_hitting_set, certify, verify_avoids
+from .exact import Certificate, _greedy_hitting_set, _solve_hitting_set, certify, verify_avoids
 from .groups import GroupSubset, _bit_indices, _lift, project_subset, quotient_view, stabilizer
 
 __all__ = [
@@ -28,8 +29,9 @@ __all__ = [
 ]
 
 # Search budgets: random samples, repair steps, the largest group the
-# hitting-set fallback is tried on, and the largest group searched at all (the
-# search keeps all g translate masks, g bits each).
+# hitting-set fallback is tried on, and the largest group or quotient either
+# builder accepts (search_avoider keeps g translate masks of g bits each,
+# construct_thm2 keeps q element masks of q bits each, q = |G/H|).
 MAX_RANDOM_RESTARTS = 64
 MAX_REPAIR_STEPS = 2000
 EXACT_FALLBACK_LIMIT = 64
@@ -48,20 +50,18 @@ def construct_thm1(pattern: GroupSubset) -> Certificate:
     return certify(_lift(view, 0), pattern)
 
 
-def _check_search_args(order: int, seed: int) -> None:
+def _check_order(order: int) -> None:
     if order > MAX_SEARCH_ORDER:
         raise BudgetExceededError(
             f"quotient order {order} exceeds the avoider-search cap {MAX_SEARCH_ORDER}"
         )
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
 def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> Certificate:
     """Find a verified avoiding set of exactly target_size elements.
 
-    Requires the pattern's stabilizer to be trivial; construct_thm2 runs the
-    same search on G/H for any pattern.  Groups above MAX_SEARCH_ORDER raise
+    Requires the pattern's stabilizer to be trivial; construct_thm2 covers
+    any pattern at its own size.  Groups above MAX_SEARCH_ORDER raise
     BudgetExceededError, and SearchExhaustedError means every phase of
     _search failed.  The whole schedule is a pure function of seed.
     """
@@ -69,7 +69,9 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
         raise EmptySetError("search needs a nonempty pattern")
     grp = pattern.group
     g = grp.size
-    _check_search_args(g, seed)
+    _check_order(g)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
     h = stabilizer(pattern).order
     if h != 1:
         raise ValueError(f"search needs a trivial stabilizer, but this pattern's has order {h}; "
@@ -136,36 +138,43 @@ def _search(masks: list[int], target_size: int, seed: int) -> int:
     return found
 
 
-def construct_thm2(pattern: GroupSubset, *, seed: int = 0) -> Certificate:
+def construct_thm2(pattern: GroupSubset) -> Certificate:
     """Avoiding set of size thm2_lower - 1 built from a quotient avoider.
 
-    With H the pattern's stabilizer, search G/H for a set of classes avoiding
-    S/H, on int class masks (mask t: the classes of representatives[t] + S),
-    then take its full preimage and adjoin every other coset minus its
-    maximum flat index (_lift).  A translate of the pattern is a union of
-    H-cosets whose class set is one of the masks, so it meets a punctured
-    coset and cannot fit; only the lift is verified, in G.  A quotient above
-    MAX_SEARCH_ORDER raises BudgetExceededError before the quotient is built.
+    With H the pattern's stabilizer, q = |G/H| and k = |S/H|, take the
+    greedy hitting set of the translates of S/H in G/H (class c's mask holds
+    the translates at the classes of representatives[c] - x, x in S/H).  Each
+    class lies in k translates, so by Chvatal's bound greedy takes at most
+    floor(H(k) q/k) classes, and for 2 <= k < q <= MAX_SEARCH_ORDER that
+    leaves ceil(q**((k-1)/k)) - 1 outside it (a test proves the inequality).
+    The complement, trimmed to that size, avoids S/H; _lift takes its full
+    preimage plus every other coset minus its maximum flat index.  Each
+    translate of the pattern holds a whole coset outside those classes, so
+    it misses a dropped maximum; only the lift is verified, in G.  A quotient
+    above MAX_SEARCH_ORDER raises BudgetExceededError before it is built.
     """
     if pattern.bits == 0:
         raise EmptySetError("construction needs a nonempty pattern")
     grp = pattern.group
     sub = stabilizer(pattern)
-    _check_search_args(grp.size // sub.order, seed)
+    _check_order(grp.size // sub.order)
     view = quotient_view(grp, sub)
     classes = project_subset(pattern, view)
     k = classes.bit_count()  # |S/H|
     target = ceil_root_power(view.size, k - 1, k) - 1
 
-    members = [view.representatives[c] for c in _bit_indices(classes)]
+    negated = [grp.neg(view.representatives[c]) for c in _bit_indices(classes)]
     projection, add = view.projection, grp.add
-    masks = []
+    elem_sets = []
     for r in view.representatives:
         mask = 0
-        for x in members:
+        for x in negated:
             mask |= 1 << projection[add(r, x)]
-        masks.append(mask)
-    candidate = _lift(view, _search(masks, target, seed))
+        elem_sets.append(mask)
+    avoider = ((1 << view.size) - 1) ^ _greedy_hitting_set(elem_sets, view.size)
+    for _ in range(avoider.bit_count() - target):
+        avoider ^= 1 << (avoider.bit_length() - 1)
+    candidate = _lift(view, avoider)
 
     expected = thm2_lower(grp.size, sub.order, pattern.size) - 1
     if candidate.size != expected:

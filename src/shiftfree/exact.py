@@ -177,6 +177,32 @@ def _element_sets(set_bits: list[int], universe: int) -> list[int]:
     return elem_sets
 
 
+def _greedy_hitting_set(elem_sets: list[int], n_sets: int) -> int:
+    """Greedy hitting set of sets [0, n_sets), as a mask over the elements.
+
+    elem_sets[e] masks the sets element e holds.  Each step takes the element
+    hitting the most unhit sets, smallest index on ties.  Gains only fall, so
+    a bucket queue files each element under its last gain, an upper bound,
+    and one ascending pass over a level's bucket makes that level's picks.
+    """
+    uncovered = (1 << n_sets) - 1
+    gains = [es.bit_count() for es in elem_sets]
+    top = max(gains, default=0)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for e, gain in enumerate(gains):
+        buckets[gain].append(e)
+    picked = 0
+    for level in range(top, 0, -1):
+        for e in sorted(buckets[level]):  # ascending runs, one per earlier level
+            gain = (elem_sets[e] & uncovered).bit_count()
+            if gain == level:
+                picked |= 1 << e
+                uncovered &= ~elem_sets[e]
+            else:
+                buckets[gain].append(e)
+    return picked
+
+
 def _bandwidth_order(set_bits: list[int], elem_sets: list[int]) -> list[int]:
     """Cuthill-McKee order of the sets: breadth-first over their overlap graph.
 
@@ -205,7 +231,7 @@ def _bandwidth_order(set_bits: list[int], elem_sets: list[int]) -> list[int]:
 
 
 def _solve_hitting_set(
-    set_bits: list[int], universe: int, deadline: float | None, limit: int | None = None
+    set_bits: list[int], universe: int, deadline: int | None, limit: int | None = None
 ) -> tuple[int, int, int]:
     """(size, bits, nodes) of a minimum hitting set of the masks over elements [0, universe).
 
@@ -214,12 +240,14 @@ def _solve_hitting_set(
     group of symmetries of the masks must act transitively on the elements
     they cover (G, G/H or K/H here), or the result can exceed the minimum.
     nodes counts the search nodes expanded; the search is the module
-    docstring's memoized frontier search.  An empty mask, which nothing can
-    hit, raises EmptySetError.
+    docstring's memoized frontier search, from _greedy_hitting_set's
+    incumbent.  Past deadline, a time.monotonic_ns() reading, it raises
+    BudgetExceededError.  An empty mask, which nothing can hit, raises
+    EmptySetError.
     """
     if not all(set_bits):
         raise EmptySetError("a family holding the empty set has no hitting set")
-    if deadline is not None and time.monotonic() > deadline:
+    if deadline is not None and time.monotonic_ns() > deadline:
         raise BudgetExceededError("hitting-set search exceeded its wall-clock budget")
     n_sets = len(set_bits)
     all_covered = (1 << n_sets) - 1
@@ -234,20 +262,8 @@ def _solve_hitting_set(
     per_elem = max(elem_sets[e].bit_count() for e in candidates)
     more = [-(-(n_sets - k) // per_elem) for k in range(n_sets + 1)]
 
-    # Greedy incumbent: repeatedly take the element covering the most
-    # still-uncovered sets, smallest flat index on ties.
-    best_bits = 0
-    best_size = 0
-    uncovered = all_covered
-    while uncovered:
-        pick, gain = -1, -1
-        for e in candidates:
-            c = (elem_sets[e] & uncovered).bit_count()
-            if c > gain:
-                pick, gain = e, c
-        best_bits |= 1 << pick
-        best_size += 1
-        uncovered &= ~elem_sets[pick]
+    best_bits = _greedy_hitting_set(elem_sets, n_sets)
+    best_size = best_bits.bit_count()
     if limit is not None:
         if best_size <= limit:
             return best_size, best_bits, 0
@@ -261,7 +277,7 @@ def _solve_hitting_set(
         """Expand a node that may still beat best_size; True once a limited solve may stop."""
         nonlocal best_bits, best_size, nodes
         nodes += 1
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+        if deadline is not None and nodes % 1024 == 0 and time.monotonic_ns() > deadline:
             raise BudgetExceededError("hitting-set search exceeded its wall-clock budget")
         rem = all_covered ^ covered
         count += 1
@@ -326,7 +342,8 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
         raise BudgetExceededError(
             f"quotient order {g // sub.order} exceeds the exact-solver cap {DEFAULT_MAX_ORDER}"
         )
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    # In integer nanoseconds: a float deadline overflows on a budget of 309 digits.
+    deadline = None if budget_ms is None else time.monotonic_ns() + budget_ms * 1_000_000
     view = quotient_view(grp, sub)
     maxima = _lift(view, 0).complement().bits  # one element per H-coset
     if one_coset:

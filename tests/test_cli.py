@@ -280,6 +280,41 @@ def test_exact_text_output():
     assert "N: 4" in out.splitlines()
 
 
+
+# exact --format json results captured before the greedy incumbent's rescan
+# became one pass per gain level: (group, set, N, avoider, hitting set, nodes).
+PINNED_EXACT = [
+    ("Z24", "{0,5,12,17}", 19, [*range(12), 13, 15, 17, 19, 21, 23], [12, 14, 16, 18, 20, 22], 5),
+    ("Z17", "{0,1,3,6,7}", 13, [1, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 16], [0, 2, 4, 8, 12], 23),
+    ("Z3xZ7", "{0,5,7,15}", 15, [1, 2, 5, 6, 8, 9, 10, 11, 13, 14, 17, 18, 19, 20],
+     [0, 3, 4, 7, 12, 15, 16], 84),
+    ("Z23", "{0,3,7,12,16}", 17, [*range(7, 23)], [*range(7)], 381),
+    ("Z29", "{0,4,10,19,26}", 22,
+     [4, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28],
+     [0, 1, 2, 3, 5, 7, 13, 18], 706),
+    ("Z3xZ10", "{0,1,21,25,28}", 22,
+     [2, 3, 4, 6, 7, 9, 10, 12, 14, 15, 16, 17, 21, 22, 23, 24, 25, 26, 27, 28, 29],
+     [0, 1, 5, 8, 11, 13, 18, 19, 20], 3194),
+]
+
+
+@pytest.mark.parametrize("group,pattern,n,avoider,hitting,nodes", PINNED_EXACT,
+                         ids=[f"{g} {p}" for g, p, *_ in PINNED_EXACT])
+def test_exact_json_pinned(group, pattern, n, avoider, hitting, nodes):
+    code, out, _ = run_cli(["exact", group, pattern, "--format", "json"])
+    assert code == 0
+    ex = json.loads(out)["exact"]
+    assert (ex["n"], ex["avoider"], ex["hitting_set"], ex["nodes"]) == (n, avoider, hitting, nodes)
+
+
+def test_exact_budget_of_400_digits_runs_to_the_end():
+    # The deadline is kept in integer nanoseconds; as a float it overflowed.
+    code, out, err = run_cli(["exact", "Z6", "{0,1}", "--budget-ms", "9" * 400])
+    assert code == 0
+    assert "N: 4" in out.splitlines()
+    assert "Traceback" not in err
+
+
 # -- construct command -----------------------------------------------------------
 
 
@@ -344,6 +379,14 @@ def test_construct_flag_validation():
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "order 2" in err and "--method thm2" in err
+
+
+def test_construct_thm2_ignores_the_seed():
+    # --seed drives --method search only; thm2 is deterministic.
+    argv = ["construct", "Z2xZ20", "{0,1,3,22}", "--method", "thm2"]
+    first = run_cli(argv + ["--seed", "0"])
+    assert first[0] == 0
+    assert run_cli(argv + ["--seed", "7"])[1] == first[1]
 
 
 def test_construct_deterministic_bytes():
@@ -566,8 +609,9 @@ def test_internal_error_exits_five(monkeypatch):
     monkeypatch.undo()
 
     # construct_thm2 verifies only the lift in G.  A class set of the right
-    # size that holds S/H itself lifts to a set holding S.
-    monkeypatch.setattr(construct, "_search", lambda masks, target_size, seed: masks[0])
+    # size that holds S/H itself lifts to a set holding S: with a greedy that
+    # hits nothing, the trim keeps the lowest classes, which hold S/H here.
+    monkeypatch.setattr(construct, "_greedy_hitting_set", lambda elem_sets, n_sets: 0)
     for group, pattern in (("Z6", "{0,1}"), ("Z12", "{0,1,6,7}")):  # H trivial, {0,6}
         err = exits_five(["construct", group, pattern, "--method", "thm2"])
         assert "contains the translate" in err

@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shiftfree import construct
@@ -74,17 +76,12 @@ def test_certificate_flag_must_match_witness():
 
 
 def test_seed_must_fit_in_64_bits():
-    # Both library entry points check the seed range themselves.
-    grp = Group([16])
-    pair = GroupSubset.from_indices(grp, [0, 1, 5])
-    coset = coset_union(grp, 8, [0, 1])
+    # search_avoider, the one seeded entry point, checks the range itself.
+    pair = GroupSubset.from_indices(Group([16]), [0, 1, 5])
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match="64 bits"):
             search_avoider(pair, 3, seed=bad)
-        with pytest.raises(ValueError, match="64 bits"):
-            construct_thm2(coset, seed=bad)
     assert search_avoider(pair, 3, seed=2**64 - 1).verified
-    assert construct_thm2(coset, seed=2**64 - 1).verified
 
 
 # -- verifier -------------------------------------------------------------------
@@ -298,7 +295,7 @@ def test_search_avoider_refuses_groups_above_search_cap():
 
 def test_construct_thm2_smoke_c2024():
     grp = Group([2024])
-    cert = construct_thm2(coset_union(grp, 253, [0, 1]), seed=0)
+    cert = construct_thm2(coset_union(grp, 253, [0, 1]))
     assert cert.verified
     assert cert.size == 1786
 
@@ -306,15 +303,22 @@ def test_construct_thm2_smoke_c2024():
 def test_construct_thm2_single_coset_matches_thm1_size():
     grp = Group([12])
     pattern = coset_union(grp, 4, [2])  # one coset of {0,4,8}
-    cert = construct_thm2(pattern, seed=3)
+    cert = construct_thm2(pattern)
     assert cert.verified
     assert cert.size == grp.size - grp.size // 3
 
 
-def test_construct_thm2_trivial_stabilizer_is_pure_search():
+def test_construct_thm2_trivial_stabilizer_is_pure_search(monkeypatch):
+    # The greedy is proven to reach the target, so neither the seeded search
+    # nor a random source is ever consulted.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("construct_thm2 must not search")
+
+    monkeypatch.setattr(construct, "_search", forbidden)
+    monkeypatch.setattr(construct.random, "Random", forbidden)
     grp = Group([10])
     pattern = GroupSubset.from_indices(grp, [0, 1, 3])
-    cert = construct_thm2(pattern, seed=5)
+    cert = construct_thm2(pattern)
     assert cert.verified
     assert cert.size == ceil_root_power(10, 2, 3) - 1
 
@@ -330,7 +334,7 @@ def test_construct_thm2_size_formula_random_instances():
             chosen = rng.sample(reps, rng.randint(1, len(reps)))
             pattern = coset_union(grp, gen, chosen)
             report_h = stabilizer(pattern).order
-            cert = construct_thm2(pattern, seed=rng.randrange(1000))
+            cert = construct_thm2(pattern)
             assert cert.verified
             assert cert.size == thm2_lower(grp.size, report_h, pattern.size) - 1
 
@@ -341,7 +345,7 @@ def test_construct_thm2_output_structure():
     # alone hold no translate of the pattern.
     grp = Group([12])
     pattern = coset_union(grp, 6, [0, 1])  # two cosets of {0,6}
-    cert = construct_thm2(pattern, seed=2)
+    cert = construct_thm2(pattern)
     assert cert.verified
 
     sub = stabilizer(pattern)
@@ -390,33 +394,94 @@ def test_construct_thm2_whole_classes_avoid_exhaustive():
     assert checked == 752
 
 
-def test_construct_thm2_pinned_outputs(monkeypatch):
-    # Avoider bits recorded while the search still ran on a quotient group
-    # with its own group law; the class-mask search must reproduce them, so
-    # class order and the seeded draw sequence must not move.
+def test_construct_thm2_pinned_outputs():
+    # The greedy complement trimmed from the top.  On the first two these
+    # are the bits the earlier seeded search's hitting-set fallback gave,
+    # which trimmed the complement of the same greedy incumbent.
     two_factor = GroupSubset.from_indices(Group([3, 4]), [0, 1, 5])  # trivial H
     union = coset_union(Group([12]), 6, [0, 1, 3])  # H = {0, 6}
-    assert construct_thm2(two_factor, seed=0).avoiding_set.bits == 1302  # {1, 2, 4, 8, 10}
-    assert construct_thm2(union, seed=2).avoiding_set.bits == 3199  # {0..6, 10, 11}
-    cert = construct_thm2(coset_union(Group([2024]), 253, [0, 1, 2]), seed=11)
+    assert construct_thm2(two_factor).avoiding_set.bits == 182  # {1, 2, 4, 5, 7}
+    assert construct_thm2(union).avoiding_set.bits == 3647  # {0..5, 9, 10, 11}
+    cert = construct_thm2(coset_union(Group([2024]), 253, [0, 1, 2]))
     assert cert.size == 1811
     digest = hashlib.sha256(cert.avoiding_set.bits.to_bytes(253, "little")).hexdigest()
-    assert digest == "540dae07bf58a1c1ae801e123f3123b5f35092996f5aef10cd945c577abe2947"
-
-    # The random phase succeeds on all three; the hitting-set fallback on
-    # class masks is pinned with the other phases switched off.
-    monkeypatch.setattr(construct, "MAX_RANDOM_RESTARTS", 0)
-    monkeypatch.setattr(construct, "MAX_REPAIR_STEPS", 0)
-    assert construct_thm2(two_factor, seed=0).avoiding_set.bits == 182  # {1, 2, 4, 5, 7}
-    assert construct_thm2(union, seed=2).avoiding_set.bits == 3647  # {0..5, 9, 10, 11}
+    assert digest == "6a5d489022c37e4b2c004bda0c54673013526a4d2f1b9c1f58fed42c3839ac36"
 
 
-def test_construct_thm2_deterministic_for_fixed_seed():
+def test_construct_thm2_is_deterministic():
     grp = Group([2024])
     pattern = coset_union(grp, 253, [0, 1, 2])
-    a = construct_thm2(pattern, seed=11)
-    b = construct_thm2(pattern, seed=11)
+    a = construct_thm2(pattern)
+    b = construct_thm2(pattern)
     assert a.avoiding_set.bits == b.avoiding_set.bits
+
+
+def test_construct_thm2_matches_exhaustive_oracle():
+    # One pattern per translation orbit in every group of order <= 10: the
+    # avoider has the advertised size, holds no translate by the naive check
+    # over all of G, and is no larger than naive_exact allows.
+    checked = 0
+    for orders in ORDERS_UP_TO_10:
+        grp = Group(orders)
+        seen = set()
+        for bits in range(1, 1 << grp.size):
+            if bits in seen:
+                continue
+            pattern = GroupSubset(grp, bits)
+            seen.update(pattern.translate(t).bits for t in grp.elements())
+            cert = construct_thm2(pattern)
+            assert cert.size == thm2_lower(grp.size, stabilizer(pattern).order, pattern.size) - 1
+            assert not contains_translate_anywhere(cert.avoiding_set, pattern), pattern
+            assert cert.size <= naive_exact(pattern) - 1, pattern
+            checked += 1
+    assert checked == 524
+
+
+def harmonic_bound_margins() -> float:
+    """Least float margin q + 1 - H(k) q/k - q**((k-1)/k) over every
+    2 <= k < q <= MAX_SEARCH_ORDER but (q, k) = (4, 2)."""
+    cap = construct.MAX_SEARCH_ORDER
+    harmonic = np.cumsum(1.0 / np.arange(1, cap + 1))  # harmonic[k - 1] = H(k)
+    worst = np.inf
+    for k in range(2, cap):
+        q = np.arange(k + 1, cap + 1, dtype=np.float64)
+        margin = q + 1 - harmonic[k - 1] * q / k - q ** ((k - 1) / k)
+        if k == 2:
+            margin[q == 4] = np.inf
+        worst = min(worst, float(margin.min()))
+    return worst
+
+
+def test_thm2_greedy_leaves_room_for_the_target():
+    # construct_thm2 needs floor(H(k) q/k) <= q - ceil_root_power(q, k-1, k) + 1
+    # for every 2 <= k < q <= MAX_SEARCH_ORDER (k = 1 has target 0, and
+    # k >= 2 forces k < q).  With x = H(k) q/k and r = q**((k-1)/k),
+    # floor(x) + ceil(r) < x + r + 1, so x + r <= q + 1 suffices: the margin
+    # q + 1 - x - r must be >= 0.
+    #
+    # Floats: H(k), summed in k steps, is off by less than k * 2**-52 * H(k),
+    # so H(k) q/k is off by less than 2**-52 * q * H(k) < 1e-10; the power and
+    # the other operations each add a few units in the last place of values
+    # below 2**15 (< 1e-11).  Each margin is off by less than 1e-8, which
+    # cannot flip one of at least 1e-3.
+    assert harmonic_bound_margins() >= 1e-3
+    # Exact: the one tie, (4, 2), and every pair with H(k) q/k an integer.
+    # Those need k < 256: for k >= 256 the denominator of H(k)/k has the
+    # factor 2**m, m = floor(log2 k) (1/2**m is the only term of H(k) whose
+    # denominator has m factors 2), and an odd prime p in (k/2, k] (Bertrand;
+    # 1/p is the only term whose denominator p divides), so it exceeds
+    # 2**m * k/2 >= 2**15.
+    cap = construct.MAX_SEARCH_ORDER
+    harmonic = [Fraction(0)]
+    for k in range(1, 256):
+        harmonic.append(harmonic[-1] + Fraction(1, k))
+    integral = []
+    for k in range(2, 256):
+        step = (harmonic[k] / k).denominator
+        integral += [(q, k) for q in range(step, cap + 1, step) if q > k]
+    assert len(integral) == 5560 and max(k for _, k in integral) == 8
+    for q, k in [(4, 2)] + integral:
+        assert harmonic[k] * q // k <= q - ceil_root_power(q, k - 1, k) + 1, (q, k)
 
 
 def test_construct_thm2_rejects_empty():

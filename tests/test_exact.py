@@ -33,6 +33,13 @@ def brute_min_hitting_size(family: TranslateFamily) -> int:
     raise AssertionError("the full universe always hits")
 
 
+# Every group of order <= 12, one presentation per multiset of factor orders.
+ORDERS_UP_TO_12 = [
+    [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2],
+    [9], [3, 3], [10], [11], [12], [2, 6],
+]
+
+
 def presentations(n: int) -> list[list[int]]:
     """Every ordered tuple of cyclic factors >= 2 with product n; [1] for n = 1."""
     if n == 1:
@@ -155,6 +162,55 @@ def test_limited_solve_fits_the_limit_exactly_when_the_minimum_does():
                     assert bits.bit_count() == size
                     assert all(bits & s for s in sets)
 
+
+
+def rescan_greedy(elem_sets: list[int], n_sets: int) -> int:
+    """Reference greedy: rescan every element for the largest gain, lowest index on ties."""
+    uncovered, picked = (1 << n_sets) - 1, 0
+    while uncovered:
+        gains = [(es & uncovered).bit_count() for es in elem_sets]
+        pick = gains.index(max(gains))
+        picked |= 1 << pick
+        uncovered &= ~elem_sets[pick]
+    return picked
+
+
+class Recorded(Exception):
+    """Raised by a recording greedy, so that no search runs after it."""
+
+
+def test_greedy_hitting_set_matches_rescan_exhaustive(monkeypatch):
+    # _greedy_hitting_set scans each gain level in one ascending pass; it must
+    # pick exactly what a full rescan per pick does, or exact_N's incumbent,
+    # and with it its node count, moves.  Every greedy input that
+    # min_hitting_set and exact_N produce on one pattern per translation orbit
+    # in every group of order <= 12: whole translate families, and the masked
+    # K-coset cores exact_N solves.
+    inputs = []
+    greedy = exact._greedy_hitting_set
+
+    def recording(elem_sets, n_sets):
+        inputs.append((list(elem_sets), n_sets))
+        raise Recorded
+
+    monkeypatch.setattr(exact, "_greedy_hitting_set", recording)
+    for orders in ORDERS_UP_TO_12:
+        grp = Group(orders)
+        seen = set()
+        for bits in range(1, 1 << grp.size, 2):
+            if bits in seen:
+                continue
+            pattern = GroupSubset(grp, bits)
+            seen.update(pattern.translate(t).bits for t in range(grp.size))
+            for solve in (lambda: min_hitting_set(translate_family(pattern)),
+                          lambda: exact_N(pattern)):
+                try:
+                    solve()
+                except Recorded:
+                    pass
+    assert len(inputs) == 2526
+    for elem_sets, n_sets in inputs:
+        assert greedy(elem_sets, n_sets) == rescan_greedy(elem_sets, n_sets), elem_sets
 
 def test_min_hitting_set_is_deterministic():
     fam = translate_family(GroupSubset.from_indices(Group([12]), [0, 2, 3]))
