@@ -302,17 +302,13 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     group = parse_group(args.group)
     subset = parse_set(args.set, group)
-    if args.method == "thm1":
+    if args.method != "search":
         if args.target is not None:
             raise ParseError("--target only applies to --method search")
-        cert = construct_thm1(subset)
-    elif args.method == "thm2":
-        if args.target is not None:
-            raise ParseError("--target only applies to --method search")
-        cert = construct_thm2(subset)
+        cert = (construct_thm1 if args.method == "thm1" else construct_thm2)(subset)
+    elif args.target is None:
+        raise ParseError("--method search requires --target")
     else:
-        if args.target is None:
-            raise ParseError("--method search requires --target")
         cert = search_avoider(subset, args.target, seed=args.seed)
     doc = {
         "group": _group_doc(group),

@@ -46,4 +46,4 @@ class BudgetExceededError(ShiftfreeError, RuntimeError):
 
 
 class SearchExhaustedError(ShiftfreeError, RuntimeError):
-    """Randomized search failed and exhaustive fallback found no avoiding set."""
+    """Avoider search found no set of the size asked for, or proved that none exists."""

@@ -241,9 +241,9 @@ def _solve_hitting_set(
     they cover (G, G/H or K/H here), or the result can exceed the minimum.
     nodes counts the search nodes expanded; the search is the module
     docstring's memoized frontier search, from _greedy_hitting_set's
-    incumbent.  Past deadline, a time.monotonic_ns() reading, it raises
-    BudgetExceededError.  An empty mask, which nothing can hit, raises
-    EmptySetError.
+    incumbent.  Past deadline, a time.monotonic_ns() reading, or deeper than
+    Python's recursion limit, it raises BudgetExceededError.  An empty mask,
+    which nothing can hit, raises EmptySetError.
     """
     if not all(set_bits):
         raise EmptySetError("a family holding the empty set has no hitting set")
@@ -306,6 +306,8 @@ def _solve_hitting_set(
     if elem_sets[z] != all_covered:  # else greedy took an element hitting every set
         try:
             dfs(1 << z, 1, elem_sets[z])
+        except RecursionError:
+            raise BudgetExceededError("hitting-set search outran the recursion limit") from None
         finally:
             fewest.clear()  # dfs refers to itself, so its memo would wait for the cycle collector
     return best_size, best_bits, nodes

@@ -374,11 +374,17 @@ def test_construct_flag_validation():
     assert code == 1
     code, _, _ = run_cli(["construct", "Z6", "{0,1}", "--method", "search"])
     assert code == 1
-    # search needs a trivial stabilizer; the refusal names H's order and the way out.
-    code, out, err = run_cli(["construct", "Z12", "{0,6}", "--method", "search", "--target", "3"])
-    assert code == 1
+    # search runs on G/H for any stabilizer: here H = {0,6} and N = 10.
+    argv = ["construct", "Z12", "{0,1,6,7}", "--method", "search", "--format", "json"]
+    code, out, _ = run_cli(argv + ["--target", "9"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certificate"]["size"] == 9 and doc["certificate"]["verified"] is True
+    # One more is proven impossible, and the refusal names the size asked for.
+    code, out, err = run_cli(argv + ["--target", "10"])
+    assert code == 4
     assert out == ""
-    assert err.count("\n") == 1 and "order 2" in err and "--method thm2" in err
+    assert err.count("\n") == 1 and "no avoiding set of size 10 exists" in err
 
 
 def test_construct_thm2_ignores_the_seed():

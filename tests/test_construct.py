@@ -233,12 +233,13 @@ def test_search_avoider_exhausts_when_no_set_exists():
 
 
 def test_search_avoider_fallback_matches_naive_oracle(monkeypatch):
-    # With the random and repair phases switched off, the bounded hitting-set
-    # fallback alone must find an avoider exactly when one exists.  One
-    # pattern per translation orbit: translates share every avoider size.
+    # With the random and repair phases switched off, the greedy complement
+    # plus the bounded hitting-set fallback on G/H must find an avoider
+    # exactly when one exists, whatever the stabilizer.  One pattern per
+    # translation orbit: translates share every avoider size.
     monkeypatch.setattr(construct, "MAX_RANDOM_RESTARTS", 0)
     monkeypatch.setattr(construct, "MAX_REPAIR_STEPS", 0)
-    checked = 0
+    checked = refused = 0
     for orders in ORDERS_UP_TO_10:
         grp = Group(orders)
         seen = set()
@@ -247,19 +248,62 @@ def test_search_avoider_fallback_matches_naive_oracle(monkeypatch):
                 continue
             pattern = GroupSubset(grp, bits)
             seen.update(pattern.translate(t).bits for t in range(grp.size))
-            if stabilizer(pattern).order != 1:
-                continue
             largest = naive_exact(pattern) - 1
-            for target in range(1, grp.size + 1):
+            for target in range(grp.size + 1):
                 if target > largest:
-                    with pytest.raises(SearchExhaustedError):
+                    with pytest.raises(SearchExhaustedError, match=f"size {target} exists"):
                         search_avoider(pattern, target)
+                    refused += 1
                     continue
                 cert = search_avoider(pattern, target)
                 assert cert.verified and cert.size == target
                 assert not contains_translate_anywhere(cert.avoiding_set, pattern)
                 checked += 1
-    assert checked == 2555  # feasible (pattern, target) pairs; 1,348 more must exhaust
+    assert (checked, refused) == (3554, 1542)  # feasible and refused (pattern, target) pairs
+
+
+def test_search_avoider_keeps_its_random_bits_above_the_greedy(monkeypatch):
+    # Above what the greedy complement reaches, a trivial stabilizer gives
+    # the bits the search gave when it ran on G's own translates: sha256 of
+    # the avoider per seed 0, 1, 2, or None where the search exhausted.
+    pins = {
+        ((172,), (0, 2, 6), 89): (
+            "e02d61034b60227ece17dfe8e31f268a119487f65c8fd6e8718f1766cb5e84aa",
+            "fc760be41456098fa1dcf51c7ad4babec85be50626ac1f234f8b1d8ebb22530e",
+            "2c263dd7ad38c362cdbb4b76c5055fbac0f5de9af386e8ca106163e6b31c1886",
+        ),
+        ((305,), (0, 1, 5), 155): (
+            "e57c734f0ce2654f968cf0df57d66509a409e996b0e2104134d56e3d0681e067",
+            "40a01c7cc26deb17f1872913ea7e0aecacc2b7fba14f9a0bedaf5bd30c7f7163",
+            "0e22418edec8ecf241ef9e32c0598411de7f8eee62e1e2917641d4e393a634d5",
+        ),
+        ((305,), (0, 1, 5), 158): (
+            "49e88f0423ab15ed975a565868bd5240008b97276b9c42cb268e1f4886c3c2ba", None, None,
+        ),
+        ((342,), (0, 6, 7), 175): (
+            "690f043fc0f09b9de2768e0892d8ca1c951721be33664e1bb69f7c6b4b421222",
+            "23d86679339051716d6d441875728552d82f008987d832788e4f44d0eeacabd9",
+            None,
+        ),
+        ((2, 146), (0, 85, 108, 111), 195): (None, None, None),
+    }
+    for (orders, members, target), digests in pins.items():
+        grp = Group(orders)
+        pattern = GroupSubset.from_indices(grp, members)
+        with monkeypatch.context() as m:  # the greedy alone falls short of the target
+            m.setattr(construct, "MAX_RANDOM_RESTARTS", 0)
+            m.setattr(construct, "MAX_REPAIR_STEPS", 0)
+            with pytest.raises(SearchExhaustedError):
+                search_avoider(pattern, target)
+        for seed, digest in enumerate(digests):
+            if digest is None:
+                with pytest.raises(SearchExhaustedError, match="found within budgets"):
+                    search_avoider(pattern, target, seed=seed)
+                continue
+            cert = search_avoider(pattern, target, seed=seed)
+            assert cert.size == target
+            raw = cert.avoiding_set.bits.to_bytes((grp.size + 7) // 8, "little")
+            assert hashlib.sha256(raw).hexdigest() == digest, (orders, members, target, seed)
 
 
 def test_search_avoider_is_deterministic_per_seed():
@@ -272,9 +316,6 @@ def test_search_avoider_is_deterministic_per_seed():
 
 def test_search_avoider_input_checks():
     grp = Group([4])
-    coset = GroupSubset.from_indices(grp, [0, 2])
-    with pytest.raises(ValueError, match="order 2.*--method thm2"):
-        search_avoider(coset, 1)  # nontrivial stabilizer
     pair = GroupSubset.from_indices(grp, [0, 1])
     with pytest.raises(ValueError):
         search_avoider(pair, 5)  # target above |G|
@@ -309,12 +350,11 @@ def test_construct_thm2_single_coset_matches_thm1_size():
 
 
 def test_construct_thm2_trivial_stabilizer_is_pure_search(monkeypatch):
-    # The greedy is proven to reach the target, so neither the seeded search
-    # nor a random source is ever consulted.
+    # The greedy is proven to reach the target, so the search never gets as
+    # far as a random source.
     def forbidden(*args, **kwargs):
-        raise AssertionError("construct_thm2 must not search")
+        raise AssertionError("construct_thm2 must not draw from the seed")
 
-    monkeypatch.setattr(construct, "_search", forbidden)
     monkeypatch.setattr(construct.random, "Random", forbidden)
     grp = Group([10])
     pattern = GroupSubset.from_indices(grp, [0, 1, 3])

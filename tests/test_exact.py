@@ -124,6 +124,19 @@ def test_min_hitting_set_refuses_an_empty_set():
             min_hitting_set(TranslateFamily(4, sets))
 
 
+def test_min_hitting_set_too_deep_is_a_budget_error():
+    # The depth-first search recurses once per chosen element: a long cycle
+    # of translates outruns Python's recursion limit, and that is a named
+    # budget refusal (exit 3), not a RecursionError.
+    z4096 = Group([4096])
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="recursion limit"):
+        min_hitting_set(translate_family(GroupSubset.from_indices(z4096, [0, 1, 3])))
+    assert time.monotonic() - started < 1.0
+    # Where the greedy incumbent is already optimal the search stays shallow.
+    assert min_hitting_set(translate_family(GroupSubset.from_indices(z4096, [0, 1])))[0] == 2048
+
+
 def test_min_hitting_set_witness_hits_every_set():
     rng = random.Random(41)
     for orders in ([7], [9], [2, 5], [3, 3]):

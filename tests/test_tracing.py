@@ -52,6 +52,15 @@ def test_one_op_of_each_kind_runs_traced():
             assert "cli.main" in spans
             if method:
                 assert f"construct.construct_{method}" in spans, (workload, method)
+            if method == "thm2":
+                # thm2 is search_avoider at its size: the search, greedy
+                # included, is a span of its own under construct_thm2.
+                named = [tracer.names[i] for i in tracer.span_name]
+                assert any(
+                    name == "construct.search_avoider"
+                    and named[tracer.span_parent[i]] == "construct.construct_thm2"
+                    for i, name in enumerate(named)
+                ), workload
     # uninstall put every original back.
     assert not hasattr(cli.main, "__wrapped__")
     assert not hasattr(modules["shiftfree.groups"].GroupSubset.translate, "__wrapped__")
