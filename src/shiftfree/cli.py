@@ -8,11 +8,16 @@ document goes to stdout, diagnostics to stderr.  Exit codes: 0 success or
 verified, 1 usage or parse failure, 2 verification failed, 3 budget exceeded
 (including out of memory), 4 search exhausted, 5 internal error.
 
-Each command is declared once, in COMMANDS.  A call builds only the parser of
-the command it names; the full tree (build_parser) parses argv only when no
-command is named or an argument is not recognized, so that help, usage and
-error text match the tree's.  Integer options take ASCII digits only, as spec
-numbers do.
+Each command's positionals and options are declared once, as data, in
+COMMANDS.  A well-formed call is read straight from that table and builds no
+argument parser: it names a command, every token starting with "-" is one of
+its exact long flags followed by a value that does not start with "-" and
+that the option's converter and choices accept, and the other tokens are
+exactly its positionals.  Any other argv (help, --opt=value, abbreviations,
+"--", unknown flags, bad values, missing or extra positionals) is parsed by
+the argparse tree build_parser makes from the same table, so argparse writes
+every help text, usage line and error.  Integer options take ASCII digits
+only, as spec numbers do.
 """
 
 from __future__ import annotations
@@ -447,48 +452,65 @@ def _target(value: str) -> int:
     return _option_int("target", value)
 
 
-def _pattern_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("group")
-    p.add_argument("set")
+class Option(NamedTuple):
+    """One --flag VALUE option; the fields after flag are add_argument's keywords."""
 
+    flag: str
+    type: Optional[Callable[[str], object]] = None  # the converter
+    choices: Optional[tuple[str, ...]] = None
+    default: object = None
+    help: Optional[str] = None
 
-def _exact_args(p: argparse.ArgumentParser) -> None:
-    _pattern_args(p)
-    p.add_argument(
-        "--budget-ms",
-        type=_budget,
-        default=DEFAULT_BUDGET_MS,
-        help="wall-clock budget for the exact solver in milliseconds",
-    )
-
-
-def _construct_args(p: argparse.ArgumentParser) -> None:
-    _pattern_args(p)
-    p.add_argument("--method", choices=("thm1", "thm2", "search"), default="thm2")
-    p.add_argument("--target", type=_target, default=None, help="avoider size for --method search")
-    p.add_argument("--seed", type=_seed, default=0, help="seed for --method search only")
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    _pattern_args(p)
-    p.add_argument("candidate")
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
 class Command(NamedTuple):
-    """One subcommand: its help line, the filler that adds its arguments, its handler."""
+    """One subcommand: its help line, positional names, options and handler."""
 
     help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
+    positionals: tuple[str, ...]
+    options: tuple[Option, ...]
     handler: Callable[[argparse.Namespace], int]
 
 
+_FORMAT = Option("--format", choices=("text", "json", "csv"), default="text")
+_PATTERN = ("group", "set")
+
 # Every command, in help order; the only place its arguments are declared.
+# --format comes first in each, as in its help.
 COMMANDS = {
-    "bounds": Command("all four bounds for a pattern", _pattern_args, _cmd_bounds),
-    "exact": Command("exact N by hitting-set solve", _exact_args, _cmd_exact),
-    "construct": Command("build a certified avoiding set", _construct_args, _cmd_construct),
-    "verify": Command("check a candidate avoiding set", _verify_args, _cmd_verify),
-    "table": Command("bounds table for Z2024 coset unions", lambda p: None, _cmd_table),
+    "bounds": Command("all four bounds for a pattern", _PATTERN, (_FORMAT,), _cmd_bounds),
+    "exact": Command(
+        "exact N by hitting-set solve",
+        _PATTERN,
+        (
+            _FORMAT,
+            Option(
+                "--budget-ms",
+                _budget,
+                default=DEFAULT_BUDGET_MS,
+                help="wall-clock budget for the exact solver in milliseconds",
+            ),
+        ),
+        _cmd_exact,
+    ),
+    "construct": Command(
+        "build a certified avoiding set",
+        _PATTERN,
+        (
+            _FORMAT,
+            Option("--method", choices=("thm1", "thm2", "search"), default="thm2"),
+            Option("--target", _target, help="avoider size for --method search"),
+            Option("--seed", _seed, default=0, help="seed for --method search only"),
+        ),
+        _cmd_construct,
+    ),
+    "verify": Command(
+        "check a candidate avoiding set", (*_PATTERN, "candidate"), (_FORMAT,), _cmd_verify
+    ),
+    "table": Command("bounds table for Z2024 coset unions", (), (_FORMAT,), _cmd_table),
 }
 
 
@@ -499,11 +521,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give parser the options of command name: --format first, as in its help."""
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    COMMANDS[name].add_arguments(parser)
-    return parser
+def _fill(parser: argparse.ArgumentParser, command: Command) -> None:
+    """Give parser the options and positionals command declares."""
+    for option in command.options:
+        keywords = option._asdict()
+        parser.add_argument(keywords.pop("flag"), **keywords)
+    for name in command.positionals:
+        parser.add_argument(name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,29 +535,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shiftfree", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _fill(sub.add_parser(name, help=command.help), name)
+        _fill(sub.add_parser(name, help=command.help), command)
     return parser
 
 
-def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
-    """(command, arguments) of argv; raises SystemExit where argparse exits."""
-    name = argv[0] if argv else ""
-    if name in COMMANDS:
-        # The same parser build_parser hangs under name, built alone.
-        args, extra = _fill(_Parser(prog=f"shiftfree {name}"), name).parse_known_args(argv[1:])
-        if not extra:
-            return name, args
-    # No command, help, an unknown command or unrecognized arguments: the
-    # top-level parser words these, so the whole tree parses argv again.
-    args = build_parser().parse_args(argv)
-    return args.command, args
+def _read(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The tree's Namespace for a well-formed command call, else None.
+
+    Well formed: argv names a command, every token starting with "-" is one of
+    its exact long flags, each followed by a value that does not start with
+    "-" and that passes the option's converter and choices, and the remaining
+    tokens are its positionals, as many as it declares.  argparse reads such
+    an argv the same way; a repeated option keeps its last value.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    flags = {option.flag: option for option in command.options}
+    values = {option.dest: option.default for option in command.options}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        option, value = flags.get(token), next(tokens, None)
+        if option is None or value is None or value.startswith("-"):
+            return None
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if len(positionals) != len(command.positionals):
+        return None
+    values.update(zip(command.positionals, positionals))
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), which runs only where _read declines.
+
+    The tree words every refusal and help request, so its messages, usage
+    lines and exit codes (raised as SystemExit) are the only ones.
+    """
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        name, args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    name = args.command
     if args.format == "csv" and name != "table":
         print("error: csv format is only available for the table command", file=sys.stderr)
         return 1

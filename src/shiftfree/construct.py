@@ -9,7 +9,8 @@ re-exported here.
 There is one avoider builder, search_avoider.  With H the pattern's
 stabilizer and q = |G/H|, an avoider of S/H in G/H lifts to one of g - q more
 elements in G, so it searches G/H: the complement of exact's greedy hitting
-set first, then seeded random samples, repair and a bounded exact fallback.
+set first, then a bounded exact solve on small quotients and seeded random
+samples and repair on the others.
 construct_thm2 is search_avoider at the theorem-2 size, which the greedy
 always reaches, so it never draws from the seed.
 """
@@ -21,7 +22,7 @@ import random
 from .bounds import thm2_lower
 from .errors import BudgetExceededError, EmptySetError, SearchExhaustedError
 from .exact import Certificate, certify, verify_avoids
-from .exact import _element_sets, _greedy_hitting_set, _solve_hitting_set
+from .exact import _check_verify_work, _element_sets, _greedy_hitting_set, _solve_hitting_set
 from .groups import GroupSubset, _bit_indices, _lift, project_subset, quotient_view, stabilizer
 
 __all__ = [
@@ -32,10 +33,10 @@ __all__ = [
     "construct_thm2",
 ]
 
-# Search budgets: random samples, repair steps, the largest quotient the
-# hitting-set fallback is tried on, and the largest quotient q = |G/H| the
-# search accepts (it keeps q element masks of q bits each, and their
-# transposes once the greedy falls short).
+# Search budgets: random samples, repair steps, the largest quotient solved
+# by an exact hitting-set search in their place, and the largest quotient
+# q = |G/H| the search accepts (it keeps q element masks of q bits each, and
+# their transposes once the greedy falls short).
 MAX_RANDOM_RESTARTS = 64
 MAX_REPAIR_STEPS = 2000
 EXACT_FALLBACK_LIMIT = 64
@@ -46,11 +47,14 @@ def construct_thm1(pattern: GroupSubset) -> Certificate:
     """Avoiding set of size g - g/h: drop the max flat index of every H-coset.
 
     Every translate of the pattern is a union of stabilizer cosets, and every
-    coset here misses one element, so no translate fits.
+    coset here misses one element, so no translate fits.  Its verification's
+    cap is checked before the quotient is built.
     """
     if pattern.bits == 0:
         raise EmptySetError("construction needs a nonempty pattern")
-    view = quotient_view(pattern.group, stabilizer(pattern))
+    sub = stabilizer(pattern)
+    _check_verify_work(pattern.group.size, sub.order)
+    view = quotient_view(pattern.group, sub)
     return certify(_lift(view, 0), pattern)
 
 
@@ -79,7 +83,8 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     only if all its classes were found.  A quotient above MAX_SEARCH_ORDER
     raises BudgetExceededError before it is built.  SearchExhaustedError
     means every phase failed, which proves no such avoider exists when
-    q <= EXACT_FALLBACK_LIMIT.  The result is a pure function of seed.
+    q <= EXACT_FALLBACK_LIMIT.  The result is a pure function of seed, and
+    does not depend on it when q <= EXACT_FALLBACK_LIMIT.
     """
     if pattern.bits == 0:
         raise EmptySetError("search needs a nonempty pattern")
@@ -120,11 +125,12 @@ def _search(elem_masks: list[int], target: int, seed: int) -> int:
     """A target-element mask over [0, q) holding no translate, or -1.
 
     elem_masks[c] masks the translates, q of them, that hold element c.  The
-    greedy hitting set's complement comes first and draws nothing from the
-    seed; when it is too small, the masks are transposed to one per translate
-    for uniform random subsets, local repair of the last sample and, with
-    q <= EXACT_FALLBACK_LIMIT, an exact hitting-set solve bounded by
-    q - target.  Surplus elements are trimmed from the top.
+    greedy hitting set's complement comes first.  When it is too small, the
+    masks are transposed to one per translate.  With q <= EXACT_FALLBACK_LIMIT
+    an exact hitting-set solve bounded by q - target then answers; larger
+    quotients get uniform random subsets and local repair of the last
+    sample, the only steps that draw from the seed.  Surplus elements are
+    trimmed from the top.
     """
     q = len(elem_masks)
     full = (1 << q) - 1
@@ -132,6 +138,10 @@ def _search(elem_masks: list[int], target: int, seed: int) -> int:
     if found.bit_count() >= target:
         return _lowest(found, target)
     masks = _element_sets(elem_masks, q)
+    if q <= EXACT_FALLBACK_LIMIT:
+        # B avoids every translate iff its complement hits every translate.
+        size, hitting, _ = _solve_hitting_set(masks, q, None, q - target)
+        return _lowest(full ^ hitting, target) if size <= q - target else -1
 
     def violation(bits: int) -> int:
         """Smallest translate index whose translate is inside bits, else -1."""
@@ -159,11 +169,6 @@ def _search(elem_masks: list[int], target: int, seed: int) -> int:
         inside = _bit_indices(masks[t])
         bits ^= 1 << rng.choice(inside)
         bits |= 1 << rng.choice(outside)
-    if q <= EXACT_FALLBACK_LIMIT:
-        # B avoids every translate iff its complement hits every translate.
-        size, hitting, _ = _solve_hitting_set(masks, q, None, q - target)
-        if size <= q - target:
-            return _lowest(full ^ hitting, target)
     return -1
 
 

@@ -80,6 +80,10 @@ DEFAULT_BUDGET_MS = 10_000
 NAIVE_MAX_ORDER = 16
 # Covered-set masks _solve_hitting_set remembers; 2**18 of them take about 20 MB.
 MEMO_MAX_ENTRIES = 2**18
+# Most bit operations verify_avoids may spend, q * g for q translates of a
+# g-bit set: construct.MAX_SEARCH_ORDER * groups.MAX_GROUP_ORDER, so no
+# avoider search or hitting-set solve is refused by it.
+MAX_VERIFY_WORK = 2**38
 
 
 @dataclass(frozen=True)
@@ -103,18 +107,31 @@ class Certificate:
         return self.avoiding_set.size
 
 
+def _check_verify_work(g: int, h: int) -> None:
+    """Refuse to verify the q = g/h translates of a pattern above MAX_VERIFY_WORK."""
+    q = g // h
+    if q * g > MAX_VERIFY_WORK:
+        raise BudgetExceededError(
+            f"verifying {q} translates in a group of order {g} exceeds the verification cap "
+            f"q*g <= {MAX_VERIFY_WORK}"
+        )
+
+
 def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
     """Check that no translate of pattern lies inside candidate.
 
     Translates are enumerated over a transversal of the pattern's stabilizer
     only: translating by a stabilizer element reproduces the same set, so the
-    transversal covers every distinct translate.
+    transversal covers every distinct translate.  Above MAX_VERIFY_WORK it
+    raises BudgetExceededError before the transversal is built.
     """
     if candidate.group != pattern.group:
         raise DomainMismatchError("candidate and pattern live in different groups")
     if pattern.bits == 0:
         raise EmptySetError("cannot verify against an empty pattern")
-    view = quotient_view(pattern.group, stabilizer(pattern))
+    sub = stabilizer(pattern)
+    _check_verify_work(pattern.group.size, sub.order)
+    view = quotient_view(pattern.group, sub)
     outside = candidate.complement().bits
     for g in view.representatives:
         if pattern.translate(g).bits & outside == 0:

@@ -201,7 +201,8 @@ class GroupSubset:
     bits: int
 
     def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.group.size):
+        # bit_length, not a comparison with 1 << size: no |G|-bit int per subset.
+        if self.bits < 0 or self.bits.bit_length() > self.group.size:
             raise DomainMismatchError("bitset has bits outside the group's index range")
 
     @classmethod

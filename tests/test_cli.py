@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftfree
 from shiftfree import cli, construct, exact
@@ -369,6 +370,23 @@ def test_construct_over_search_cap_exits_three():
     assert err.count("\n") == 1 and "1048576" in err
 
 
+def test_verification_over_its_cap_exits_three():
+    # thm1 and verify translate S once per class of G/H, about q*g bit
+    # operations: refused before the quotient is built above 2**38.
+    for argv in (
+        ["construct", "Z16777216", "{0,1}", "--method", "thm1"],
+        ["verify", "Z16777216", "{0,1}", "{0}"],
+    ):
+        started = time.monotonic()
+        code, out, err = run_cli(argv)
+        assert time.monotonic() - started < 1.0, argv
+        assert (code, out) == (3, ""), argv
+        assert err.count("\n") == 1 and str(exact.MAX_VERIFY_WORK) in err
+    assert exact.MAX_VERIFY_WORK == construct.MAX_SEARCH_ORDER * MAX_GROUP_ORDER
+    code, out, _ = run_cli(["construct", "Z262144", "{0,1}", "--method", "thm1"])
+    assert code == 0 and "verified: true" in out
+
+
 def test_construct_flag_validation():
     code, _, _ = run_cli(["construct", "Z6", "{0,1}", "--method", "thm1", "--target", "2"])
     assert code == 1
@@ -564,18 +582,76 @@ PARSER_ARGVS = [
 ]
 
 
-@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
-def test_main_parses_like_the_full_parser(argv):
-    # main builds only the named command's parser; every message, usage line
-    # and exit code must match the whole tree's.
+def tree_parse(argv):
+    """(exit code or None, stdout, stderr, Namespace or None) of the whole tree."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(argv)
-    assert run_cli(argv) == (exc.value.code, out.getvalue(), err.getvalue())
+        try:
+            return None, out.getvalue(), err.getvalue(), cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), None
 
 
-def test_one_parser_per_command_call(monkeypatch):
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_main_parses_like_the_full_parser(argv):
+    # main reads well-formed calls from COMMANDS itself; every message, usage
+    # line and exit code must still be the whole tree's.
+    code, out, err, args = tree_parse(argv)
+    assert args is None
+    assert run_cli(argv) == (code, out, err)
+
+
+ALL_FLAGS = sorted({option.flag for c in cli.COMMANDS.values() for option in c.options})
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed call drawn from COMMANDS, given one fault half the time."""
+    name = draw(st.sampled_from([*cli.COMMANDS, "frobnicate"]))
+    command = cli.COMMANDS.get(name, cli.COMMANDS["construct"])
+    spec = st.sampled_from(["Z6", "{0,1}", "{0,2}", ""])
+    pieces = [[draw(spec)] for _ in command.positionals]
+    for _ in range(draw(st.integers(0, 4))):  # in any order, repeats allowed
+        option = draw(st.sampled_from(command.options))
+        pieces.append([option.flag, draw(st.sampled_from(option.choices or ("0", "3", "12")))])
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(command.options)).flag
+        value = draw(st.sampled_from(["yaml", "1_0", "-1", "", "3"]))
+        fault = draw(
+            st.sampled_from(
+                [
+                    [flag, value],
+                    [f"{flag}={value}"],
+                    [flag[:-1], value],  # an abbreviation
+                    [flag],  # no value
+                    [draw(st.sampled_from(ALL_FLAGS)), value],  # maybe another command's
+                    [draw(spec)],  # one positional too many
+                    ["-h"],
+                    ["--"],
+                    ["--help"],
+                    [],  # one positional too few
+                ]
+            )
+        )
+        if fault:
+            pieces.append(fault)
+        elif command.positionals:
+            del pieces[0]
+    pieces = draw(st.permutations(pieces))
+    return [name] + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_reader_matches_the_tree(argv):
+    code, out, err, args = tree_parse(argv)
+    if args is None:
+        assert run_cli(argv) == (code, out, err)
+    else:
+        assert cli._parse(argv) == args
+
+
+def _count_parsers(monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -584,8 +660,28 @@ def test_one_parser_per_command_call(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert run_cli(["exact", "Z6", "{0,1}"])[0] == 0
-    assert built == ["shiftfree exact"]
+    return built
+
+
+def test_well_formed_call_builds_no_parser(monkeypatch):
+    built = _count_parsers(monkeypatch)
+    for argv in (
+        ["exact", "Z6", "{0,1}"],
+        ["construct", "Z6", "{0,1}", "--seed", "3", "--method", "search", "--target", "2"],
+        ["table", "--format", "csv"],
+    ):
+        assert run_cli(argv)[0] == 0, argv
+    assert built == []
+
+
+def test_refused_call_builds_only_the_tree(monkeypatch):
+    built = _count_parsers(monkeypatch)
+    cli.build_parser()
+    tree = built[:]
+    assert tree[0] == "shiftfree" and len(tree) == 1 + len(cli.COMMANDS)
+    built.clear()
+    assert run_cli(["exact", "Z6", "{0,1}", "--budget", "0"])[0] == 1
+    assert built == tree
 
 
 def test_internal_error_exits_five(monkeypatch):

@@ -232,13 +232,11 @@ def test_search_avoider_exhausts_when_no_set_exists():
         search_avoider(s, 3, seed=0)
 
 
-def test_search_avoider_fallback_matches_naive_oracle(monkeypatch):
-    # With the random and repair phases switched off, the greedy complement
-    # plus the bounded hitting-set fallback on G/H must find an avoider
-    # exactly when one exists, whatever the stabilizer.  One pattern per
-    # translation orbit: translates share every avoider size.
-    monkeypatch.setattr(construct, "MAX_RANDOM_RESTARTS", 0)
-    monkeypatch.setattr(construct, "MAX_REPAIR_STEPS", 0)
+def test_search_avoider_fallback_matches_naive_oracle():
+    # On a quotient of at most EXACT_FALLBACK_LIMIT classes, the greedy
+    # complement and then the bounded hitting-set solve on G/H must find an
+    # avoider exactly when one exists, whatever the stabilizer.  One pattern
+    # per translation orbit: translates share every avoider size.
     checked = refused = 0
     for orders in ORDERS_UP_TO_10:
         grp = Group(orders)
@@ -304,6 +302,26 @@ def test_search_avoider_keeps_its_random_bits_above_the_greedy(monkeypatch):
             assert cert.size == target
             raw = cert.avoiding_set.bits.to_bytes((grp.size + 7) // 8, "little")
             assert hashlib.sha256(raw).hexdigest() == digest, (orders, members, target, seed)
+
+
+def test_search_avoider_ignores_the_seed_on_small_quotients(monkeypatch):
+    # With q <= EXACT_FALLBACK_LIMIT the exact solve follows the greedy
+    # directly: no random phase runs, so every seed gives the same bits.
+    def no_rng(seed):
+        raise AssertionError("random.Random built")
+
+    monkeypatch.setattr(construct.random, "Random", no_rng)
+    for orders, members, target in (  # each above the greedy's reach
+        ([40], [0, 1, 3], 24),
+        ([64], [0, 1, 3], 38),
+        ([24], [0, 1, 3, 12, 13, 15], 19),  # H = {0, 12}, q = 12
+        ([8, 8], [0, 1, 9], 40),
+    ):
+        pattern = GroupSubset.from_indices(Group(orders), members)
+        results = {search_avoider(pattern, target, seed=seed).avoiding_set for seed in (0, 1, 2)}
+        assert len(results) == 1 and results.pop().size == target
+    with pytest.raises(SearchExhaustedError, match="exists"):
+        search_avoider(GroupSubset.from_indices(Group([40]), [0, 1]), 21, seed=5)
 
 
 def test_search_avoider_is_deterministic_per_seed():

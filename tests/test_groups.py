@@ -181,9 +181,13 @@ def test_indices_of_a_dense_large_set_is_linear():
 
 
 def test_subset_rejects_out_of_range():
+    for orders in ([1], [4], [3, 5]):
+        grp = Group(orders)
+        assert GroupSubset(grp, (1 << grp.size) - 1) == GroupSubset.full(grp)
+        for bits in (1 << grp.size, -1):
+            with pytest.raises(DomainMismatchError):
+                GroupSubset(grp, bits)
     grp = Group([4])
-    with pytest.raises(DomainMismatchError):
-        GroupSubset(grp, 1 << 4)
     with pytest.raises(DomainMismatchError):
         GroupSubset.from_indices(grp, [4])
     other = Group([5])
