@@ -12,8 +12,9 @@ translate of S.  Four bounds are computed, all in exact integer arithmetic:
 
 Ceilings of fractional powers are never taken in floating point: the helper
 ceil_root_power finds the least integer t with t**root >= mantissa**exponent
-by big-int binary search, so lemma_lower is the least t with t**s >= h*g**(s-1)
-and the thm2 ceiling is the least t with t**s >= (g/h)**(s-h).
+from a float estimate that exact big-int powers check and correct, so
+lemma_lower is the least t with t**s >= h*g**(s-1) and the thm2 ceiling is the
+least t with t**s >= (g/h)**(s-h).
 
 The real-valued inequality behind thm2_lower >= lemma_lower (for g >= h >= 1,
 s >= 1: (h-1)/h*g + (g/h)**(1-h/s) >= h**(1/s) * g**(1-1/s)) is checked
@@ -22,6 +23,7 @@ numerically, pointwise and on dense grids; it has no symbolic proof here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DivisibilityError, EmptySetError
@@ -62,7 +64,9 @@ def ceil_root_power(mantissa: int, exponent: int, root: int) -> int:
     """Least integer t >= 1 with t**root >= mantissa**exponent.
 
     Equals ceil(mantissa**(exponent/root)) except at exact powers, where the
-    float ceiling can misround; everything here stays in big ints.
+    float ceiling can misround.  A float estimate only picks where the
+    search starts; every comparison that decides the answer is an exact
+    big-int power.
     """
     if mantissa < 1:
         raise ValueError(f"mantissa must be >= 1, got {mantissa}")
@@ -73,15 +77,33 @@ def ceil_root_power(mantissa: int, exponent: int, root: int) -> int:
     target = mantissa**exponent
     if target <= 1:
         return 1
-    lo = 1
-    hi = 1 << -(-target.bit_length() // root)  # 2**ceil(bits/root), so hi**root > target
-    while lo < hi:
+    # Estimate the top ~40 bits of 2**(log2(target) / root), step out from
+    # it by doubling strides until lo**root < target <= hi**root, then
+    # bisect.  The estimate is within one of the answer whenever that has at
+    # most ~40 bits, so two powers settle it.
+    log_t = math.log2(target) / root
+    shift = max(0, int(log_t) - 40)
+    guess = max(1, int(2.0 ** (log_t - shift)) << shift)
+    step = 1 << shift
+    if guess**root >= target:
+        hi = guess
+        lo = max(0, hi - step)
+        while lo and lo**root >= target:
+            hi, step = lo, step * 2
+            lo = max(0, hi - step)
+    else:
+        lo = guess
+        hi = lo + step
+        while hi**root < target:
+            lo, step = hi, step * 2
+            hi = lo + step
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         if mid**root >= target:
             hi = mid
         else:
-            lo = mid + 1
-    return lo
+            lo = mid
+    return hi
 
 
 def lemma_lower(g: int, h: int, s: int) -> int:

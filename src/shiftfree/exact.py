@@ -6,6 +6,10 @@ of the family {g + S : g in T} with T a stabilizer transversal (translates
 repeat inside a stabilizer coset, so the transversal family is the whole
 family).  N is then |G| - tau + 1.
 
+The family comes from the rotation kernel groups._translates, one rotation
+per class; exact_N takes its bitsets straight from the kernel, with no
+GroupSubset per set.
+
 exact_N reduces, solves, then lifts.  Reduce: every translate is a union of
 cosets of the stabilizer H, so a set hits it iff its image in G/H does:
 N(G, S) = g - g/h + N(G/H, S/H).  Every family set is masked to one element
@@ -47,7 +51,9 @@ root's equivalent branches are not searched again.
 verify_avoids is the only test of a candidate against the pattern's
 translates.  Every avoiding set the library builds, here and in construct,
 passes through certify, which calls it and treats a failure as a bug: a
-returned avoider is re-verified, never trusted from its construction.
+returned avoider is re-verified, never trusted from its construction.  It
+rotates the smaller side, the candidate once per element of S or S once per
+class of G/H, so it costs min(|S|, |G/H|) rotations of a |G|-bit set.
 
 naive_exact is the independent oracle: it enumerates all 2^|G| subsets and
 checks all |G| translates with plain set arithmetic, no transversal, no
@@ -61,7 +67,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, DomainMismatchError, EmptySetError
-from .groups import Group, GroupSubset, _bit_indices, _lift, quotient_view, stabilizer
+from .groups import Group, GroupSubset, _bit_indices, _lift, _translates, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -80,6 +86,9 @@ DEFAULT_BUDGET_MS = 10_000
 NAIVE_MAX_ORDER = 16
 # Covered-set masks _solve_hitting_set remembers; 2**18 of them take about 20 MB.
 MEMO_MAX_ENTRIES = 2**18
+# Largest family _bandwidth_order tests pair by pair (n**2/2 overlap tests);
+# every family the solvers build has at most EXACT_FALLBACK_LIMIT = 64 sets.
+PAIRWISE_ORDER_MAX = 64
 # Most bit operations verify_avoids may spend, q * g for q translates of a
 # g-bit set: construct.MAX_SEARCH_ORDER * groups.MAX_GROUP_ORDER, so no
 # avoider search or hitting-set solve is refused by it.
@@ -120,22 +129,37 @@ def _check_verify_work(g: int, h: int) -> None:
 def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
     """Check that no translate of pattern lies inside candidate.
 
-    Translates are enumerated over a transversal of the pattern's stabilizer
-    only: translating by a stabilizer element reproduces the same set, so the
-    transversal covers every distinct translate.  Above MAX_VERIFY_WORK it
-    raises BudgetExceededError before the transversal is built.
+    It rotates whichever side is smaller, with H the pattern's stabilizer,
+    s = |S| and q = |G/H|.  When s <= q, t + S lies inside C iff t lies in
+    C - x for every x in S, so it intersects the s translates C - x.  That
+    intersection is a union of H-cosets (t + h + S = t + S), so its lowest
+    element is the smallest transversal element whose translate fits, and
+    no quotient is built.  Otherwise it translates S by each transversal
+    element: translating by a stabilizer element reproduces the same set, so
+    the transversal covers every distinct translate.  Either way it costs
+    min(s, q) rotations of a g-bit set.  Above q*g = MAX_VERIFY_WORK it raises
+    BudgetExceededError before it translates anything.
     """
     if candidate.group != pattern.group:
         raise DomainMismatchError("candidate and pattern live in different groups")
     if pattern.bits == 0:
         raise EmptySetError("cannot verify against an empty pattern")
+    grp = pattern.group
     sub = stabilizer(pattern)
-    _check_verify_work(pattern.group.size, sub.order)
-    view = quotient_view(pattern.group, sub)
+    _check_verify_work(grp.size, sub.order)
+    if pattern.size <= grp.size // sub.order:
+        neg = grp.neg
+        fits = -1  # every t, before any x is checked
+        for shifted in _translates(candidate, [neg(x) for x in pattern.indices()]):
+            fits &= shifted
+            if not fits:
+                return Certificate(candidate, pattern, witness=None)
+        return Certificate(candidate, pattern, witness=(fits & -fits).bit_length() - 1)
+    reps = quotient_view(grp, sub).representatives
     outside = candidate.complement().bits
-    for g in view.representatives:
-        if pattern.translate(g).bits & outside == 0:
-            return Certificate(candidate, pattern, witness=g)
+    for t, bits in zip(reps, _translates(pattern, reps)):
+        if bits & outside == 0:
+            return Certificate(candidate, pattern, witness=t)
     return Certificate(candidate, pattern, witness=None)
 
 
@@ -170,8 +194,8 @@ def translate_family(pattern: GroupSubset) -> TranslateFamily:
     if pattern.bits == 0:
         raise EmptySetError("translate family needs a nonempty pattern")
     grp = pattern.group
-    view = quotient_view(grp, stabilizer(pattern))
-    sets = tuple(pattern.translate(t) for t in view.representatives)
+    reps = quotient_view(grp, stabilizer(pattern)).representatives
+    sets = tuple(GroupSubset(grp, bits) for bits in _translates(pattern, reps))
     return TranslateFamily(universe_size=grp.size, sets=sets)
 
 
@@ -220,29 +244,46 @@ def _greedy_hitting_set(elem_sets: list[int], n_sets: int) -> int:
     return picked
 
 
-def _bandwidth_order(set_bits: list[int], elem_sets: list[int]) -> list[int]:
+def _bandwidth_order(set_bits: list[int], universe: int) -> list[int]:
     """Cuthill-McKee order of the sets: breadth-first over their overlap graph.
 
     Cuthill-McKee starts each component at a peripheral set and takes new
     neighbours by ascending degree.  Every family solved here is transitive
     on the sets of each component (a translation moves any translate onto
     any other), so all of them share one degree and one eccentricity: the
-    component's lowest set is peripheral, and neighbours go by index.
+    component's lowest set is peripheral, and neighbours go by index.  A
+    set's neighbours are the unplaced sets it overlaps, tested pair by pair
+    up to PAIRWISE_ORDER_MAX sets and found through the element masks above.
     """
     order: list[int] = []
-    placed = 0
-    for root in range(len(set_bits)):
-        if placed >> root & 1:
-            continue
-        placed |= 1 << root
-        queue = [root]
+    if len(set_bits) > PAIRWISE_ORDER_MAX:
+        elem_sets = _element_sets(set_bits, universe)
+        placed = 0
+        for root in range(len(set_bits)):
+            if placed >> root & 1:
+                continue
+            placed |= 1 << root
+            queue = [root]
+            for j in queue:
+                fresh = 0
+                for e in _bit_indices(set_bits[j]):
+                    fresh |= elem_sets[e]
+                fresh &= ~placed
+                placed |= fresh
+                queue += _bit_indices(fresh)
+            order += queue
+        return order
+    rest = list(range(len(set_bits)))  # the unplaced sets, ascending
+    while rest:
+        queue = [rest.pop(0)]
         for j in queue:
-            fresh = 0
-            for e in _bit_indices(set_bits[j]):
-                fresh |= elem_sets[e]
-            fresh &= ~placed
-            placed |= fresh
-            queue += _bit_indices(fresh)
+            sj, far = set_bits[j], []
+            for k in rest:
+                if set_bits[k] & sj:
+                    queue.append(k)
+                else:
+                    far.append(k)
+            rest = far
         order += queue
     return order
 
@@ -269,8 +310,7 @@ def _solve_hitting_set(
     n_sets = len(set_bits)
     all_covered = (1 << n_sets) - 1
 
-    elem_sets = _element_sets(set_bits, universe)
-    set_bits = [set_bits[j] for j in _bandwidth_order(set_bits, elem_sets)]
+    set_bits = [set_bits[j] for j in _bandwidth_order(set_bits, universe)]
     elem_sets = _element_sets(set_bits, universe)
     candidates = [e for e in range(universe) if elem_sets[e]]  # the elements some set holds
     # Admissible pruning cap: no element hits more sets than this.  On a
@@ -350,7 +390,8 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
     """Exact threshold N for the pattern, or BudgetExceededError; never partial.
 
     DEFAULT_MAX_ORDER caps |G/H|; a single coset of the stabilizer H needs no
-    search.
+    search.  Verification's own cap (MAX_VERIFY_WORK) is checked before the
+    quotient is built.
     """
     if pattern.bits == 0:
         raise EmptySetError("exact solve needs a nonempty pattern")
@@ -361,6 +402,7 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
         raise BudgetExceededError(
             f"quotient order {g // sub.order} exceeds the exact-solver cap {DEFAULT_MAX_ORDER}"
         )
+    _check_verify_work(g, sub.order)  # refuse before the quotient is built
     # In integer nanoseconds: a float deadline overflows on a budget of 309 digits.
     deadline = None if budget_ms is None else time.monotonic_ns() + budget_ms * 1_000_000
     view = quotient_view(grp, sub)
@@ -369,7 +411,7 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
         # Each translate is one H-coset, hit by its one maximum.
         witness_bits, nodes = maxima, 0
     else:
-        family = [t.bits for t in translate_family(pattern).sets]
+        family = list(_translates(pattern, view.representatives))
         # S's connected component, by overlap, is the K-coset s0 + K.
         block, prev = family[0], 0
         while block != prev:

@@ -5,8 +5,12 @@ flat indices in [0, m1*...*mk) under the little-endian mixed-radix encoding:
 coordinate i has stride m1*...*m_{i-1}, so flat = c0 + m1*(c1 + m2*(c2 + ...)).
 The flat index is the canonical identity of an element; coordinate tuples are a
 view.  Subsets are arbitrary-precision ints used as bitsets, bit i = element i,
-which keeps translate/compare/intersect at machine speed for the sizes the
-exact solver can reach.
+which keeps compare/intersect at machine speed for the sizes the exact solver
+can reach.  _translates is the rotation kernel: it translates one subset by a
+list of shifts with one masked rotation per axis.  It builds the translate
+family in exact (translate_family and exact_N) and serves verify_avoids;
+GroupSubset.translate, stabilizer, Quotient and the avoider search's class
+masks still translate element by element through add.
 
 Only a Group has a group law, and every GroupSubset lives in one.  A Quotient
 of G by a subgroup H is not a group here: it is the projection of G onto
@@ -191,6 +195,45 @@ def _bit_indices(bits: int) -> list[int]:
         out.append(last - j)
         j = digits.rfind("1", 2, j)
     return out
+
+
+def _translates(subset: "GroupSubset", shifts: Iterable[int]) -> Iterator[int]:
+    """Bitset of t + subset for each t in shifts, in order; shifts are not checked.
+
+    Translating by t rotates each axis coordinate c to c + t_i mod m_i, one
+    masked rotation per nontrivial axis.  A cyclic group rotates the whole
+    bitset.  Otherwise axis i, of order m and stride st, splits the bitset
+    into blocks of st*m bits; in each block the elements whose coordinate is
+    below m - t_i move up by t_i*st and the rest move down by (m - t_i)*st.
+    starts has a 1 at the first bit of every block, so
+    (starts << keep) - starts masks the low keep bits of each.  It yields
+    one translate at a time and keeps no mask per shift, so memory stays at
+    a few |G|-bit ints, and no |G|-bit int is divided or multiplied.
+    """
+    grp = subset.group
+    g, bits = grp.size, subset.bits
+    full = (1 << g) - 1
+    axes = [(m, st) for m, st in zip(grp.orders, grp.strides) if m > 1]
+    if len(axes) <= 1:  # flat index and coordinate agree
+        for t in shifts:
+            yield ((bits << t) | (bits >> (g - t))) & full
+        return
+    blocks = []
+    for m, st in axes:
+        starts, width = 1, st * m
+        while width < g:
+            starts |= starts << width
+            width <<= 1
+        blocks.append((m, st, starts & full))
+    for t in shifts:
+        b = bits
+        for m, st, starts in blocks:
+            c = t // st % m
+            if c:
+                keep = (m - c) * st
+                moved = b & ((starts << keep) - starts)
+                b = (moved << c * st) | ((b ^ moved) >> keep)
+        yield b
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 Frozen values marked "oracle" below were computed beforehand by an
 independent big-integer scan (least t with t**s >= target, tested upward
-from a float hint), not by the binary search under test.
+from a float hint), not by the function under test.
 """
+
+import random
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +89,48 @@ def test_ceil_root_power_edge_cases():
         ceil_root_power(2, -1, 2)
     with pytest.raises(ValueError):
         ceil_root_power(2, 1, 0)
+
+
+def bisection_root_power(mantissa: int, exponent: int, root: int) -> int:
+    """The earlier ceil_root_power: bisection on [1, 2**ceil(bits/root)]."""
+    target = mantissa**exponent
+    lo, hi = 1, 1 << -(-target.bit_length() // root)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**root >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_ceil_root_power_matches_bisection():
+    rng = random.Random(3)
+    for _ in range(2000):
+        mantissa = rng.choice(
+            [rng.randrange(1, 60), rng.randrange(1, 10**9), 2 ** rng.randrange(70)]
+        )
+        exponent, root = rng.randrange(40), rng.randrange(1, 40)
+        assert ceil_root_power(mantissa, exponent, root) == bisection_root_power(
+            mantissa, exponent, root
+        ), (mantissa, exponent, root)
+    # Answers far past float precision start from a coarse estimate.
+    for mantissa, exponent, root in ((10, 1000, 1), (10, 1000, 3), (3, 5000, 7)):
+        assert ceil_root_power(mantissa, exponent, root) == bisection_root_power(
+            mantissa, exponent, root
+        )
+
+
+def test_ceil_root_power_thm2_at_two_to_the_twenty():
+    # thm2_lower(2**20, 1, 10**5): the bisection returns 1048431 here after
+    # about 21 powers of 2 million bits (2.6 s); the estimate needs two.
+    started = time.perf_counter()
+    t = ceil_root_power(2**20, 10**5 - 1, 10**5)
+    assert time.perf_counter() - started < 1.5
+    assert t == 1048431
+    target = 2 ** (20 * (10**5 - 1))
+    assert t**100000 >= target > (t - 1) ** 100000
+    assert thm2_lower(2**20, 1, 10**5) == t
 
 
 @given(st.integers(1, 10**6), st.integers(0, 8), st.integers(1, 12))

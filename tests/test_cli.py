@@ -371,8 +371,8 @@ def test_construct_over_search_cap_exits_three():
 
 
 def test_verification_over_its_cap_exits_three():
-    # thm1 and verify translate S once per class of G/H, about q*g bit
-    # operations: refused before the quotient is built above 2**38.
+    # Verification is capped at q*g = 2**38 bit operations, q = |G/H|, and
+    # thm1 and verify refuse above it before the quotient is built.
     for argv in (
         ["construct", "Z16777216", "{0,1}", "--method", "thm1"],
         ["verify", "Z16777216", "{0,1}", "{0}"],
@@ -383,7 +383,22 @@ def test_verification_over_its_cap_exits_three():
         assert (code, out) == (3, ""), argv
         assert err.count("\n") == 1 and str(exact.MAX_VERIFY_WORK) in err
     assert exact.MAX_VERIFY_WORK == construct.MAX_SEARCH_ORDER * MAX_GROUP_ORDER
+    # exact on a single coset needs no search, only the refused verification:
+    # it prints the bounds and refuses before the quotient is built.
+    started = time.monotonic()
+    code, out, err = run_cli(["exact", "Z1048576", "{0}"])
+    assert time.monotonic() - started < 1.0
+    assert code == 3 and "bounds:" in out and str(exact.MAX_VERIFY_WORK) in err
     code, out, _ = run_cli(["construct", "Z262144", "{0,1}", "--method", "thm1"])
+    assert code == 0 and "verified: true" in out
+
+
+def test_verify_of_a_small_pattern_in_a_large_group_is_fast():
+    # With |S| <= |G/H| the verifier rotates the candidate once per element of
+    # S instead of S once per class: 3 rotations here, not 262,144 (4.8 s).
+    started = time.monotonic()
+    code, out, _ = run_cli(["verify", "Z64xZ64xZ64", "{0,1,4096}", "{0}"])
+    assert time.monotonic() - started < 1.0
     assert code == 0 and "verified: true" in out
 
 

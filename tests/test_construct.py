@@ -140,6 +140,30 @@ def test_verify_avoids_agrees_with_naive_check():
             assert verify_avoids(candidate, pattern).verified == expect
 
 
+def test_verify_avoids_witness_matches_per_element_scan():
+    # verify_avoids intersects the s translates C - x when s <= q = |G/H| and
+    # translates S by each of the q classes otherwise.  Both must name the
+    # smallest transversal element whose translate fits, on every group of
+    # order <= 12: every pattern up to order 8, sampled above.
+    rng = random.Random(23)
+    for orders in ORDERS_UP_TO_10 + [[11], [12], [2, 6], [3, 4], [2, 2, 3]]:
+        grp = Group(orders)
+        g = grp.size
+        full = (1 << g) - 1
+        patterns = range(1, 1 << g) if g <= 8 else [rng.randrange(1, 1 << g) for _ in range(300)]
+        branches = set()
+        for pbits in list(patterns) + [full]:
+            pattern = GroupSubset(grp, pbits)
+            fit_masks = [pattern.translate(t).bits for t in range(g)]
+            noise = rng.randrange(1 << g)
+            for cbits in (noise, noise | fit_masks[rng.randrange(g)], full, full ^ 1 << (g - 1)):
+                cand = GroupSubset(grp, cbits)
+                want = next((t for t in range(g) if fit_masks[t] & ~cbits == 0), None)
+                assert verify_avoids(cand, pattern).witness == want, (orders, pbits, cbits)
+            branches.add(pattern.size <= g // stabilizer(pattern).order)
+        assert branches == ({True} if g == 1 else {True, False}), orders
+
+
 # -- punctured-coset construction ---------------------------------------------
 
 

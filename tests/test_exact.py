@@ -20,7 +20,7 @@ from shiftfree.exact import (
     naive_exact,
     translate_family,
 )
-from shiftfree.groups import Group, GroupSubset, stabilizer, subgroup_generated
+from shiftfree.groups import Group, GroupSubset, _translates, stabilizer, subgroup_generated
 
 
 def brute_min_hitting_size(family: TranslateFamily) -> int:
@@ -61,6 +61,21 @@ def coset_union(group: Group, order: int, reps: list[int]) -> GroupSubset:
 
 
 # -- translate family ------------------------------------------------------------
+
+
+def test_translates_kernel_matches_translate_on_every_small_group():
+    # Every operation of the rotation kernel is linear in the bitset, so the
+    # singletons pin it down for every subset; random subsets check that too.
+    rng = random.Random(29)
+    groups = [Group(o) for n in range(1, 17) for o in presentations(n)]
+    groups += [Group([2, 1, 3]), Group([1, 4])]  # order-1 factors
+    for grp in groups:
+        g = grp.size
+        subsets = [1 << a for a in range(g)] + [rng.randrange(1 << g) for _ in range(8)]
+        for bits in subsets + [0, (1 << g) - 1]:
+            s = GroupSubset(grp, bits)
+            want = [s.translate(t).bits for t in range(g)]
+            assert list(_translates(s, range(g))) == want, (grp, bits)
 
 
 def test_translate_family_anchors():
