@@ -9,8 +9,11 @@ which keeps compare/intersect at machine speed for the sizes the exact solver
 can reach.  _translates is the rotation kernel: it translates one subset by a
 list of shifts with one masked rotation per axis.  It builds the translate
 family in exact (translate_family and exact_N) and serves verify_avoids;
-GroupSubset.translate, stabilizer, Quotient and the avoider search's class
-masks still translate element by element through add.
+GroupSubset.translate, Quotient and the avoider search's class masks still
+translate element by element through add.  stabilizer translates through
+GroupSubset.translate, but works on the smaller of S and G - S and stops as
+soon as its running mask is proven to be the stabilizer, so a coset union
+with a large stabilizer costs a few translates, not |S|.
 
 Only a Group has a group law, and every GroupSubset lives in one.  A Quotient
 of G by a subgroup H is not a group here: it is the projection of G onto
@@ -346,24 +349,52 @@ class Subgroup(GroupSubset):
 def stabilizer(subset: GroupSubset) -> Subgroup:
     """The subgroup H = {h : h + S = S} of translations fixing S.
 
-    Computed as the intersection of the difference sets S - x over x in S:
-    h + S = S holds iff h + x lands in S for every x (the two sides have equal
-    size, so containment suffices).  The loop exits once the mask is the
-    trivial subgroup since it can only shrink.
+    S and G - S have the same stabilizer, so the work runs on the smaller of
+    the two; S = G has the whole group as stabilizer and needs no translate.
+    The mask M is the intersection of the difference sets S - x over x in S
+    taken so far: h + S = S holds iff h + x lands in S for every x (the two
+    sides have equal size, so containment suffices), so M always contains H
+    and equals it once every x is taken.  The loop exits early once M is
+    proven to be H: M's order divides |G| and |S|, and generators taken
+    greedily from M, each the lowest element outside the closure of those
+    before it, all fix S and generate M.  Then M is a subgroup inside H, so
+    M = H.  A trivial M is the case with no generators.  The proof is
+    retried only when M has just shrunk, since an unchanged M gives the
+    same answer.
     """
     if subset.bits == 0:
         raise EmptySetError("stabilizer of the empty set is not defined here")
     grp = subset.group
-    neg = grp.neg
-    mask = (1 << grp.size) - 1
-    b = subset.bits
-    while b:
-        low = b & -b
-        x = low.bit_length() - 1
-        mask &= subset.translate(neg(x)).bits
-        if mask == 1:
+    g = grp.size
+    full = (1 << g) - 1
+    bits, s = subset.bits, subset.size
+    if 2 * s > g:
+        if s == g:
+            return Subgroup(grp, full)
+        bits, s = bits ^ full, g - s
+        subset = GroupSubset(grp, bits)
+    members = _bit_indices(bits)
+    neg, add = grp.neg, grp.add
+    mask = full
+    for x in members:
+        shrunk = mask & subset.translate(neg(x)).bits
+        if shrunk == mask:
+            continue
+        mask = shrunk
+        m = mask.bit_count()
+        if g % m or s % m:
+            continue
+        gens: list[int] = []
+        closure = 1
+        while closure != mask:
+            rest = mask & ~closure
+            h = (rest & -rest).bit_length() - 1
+            if not all((bits >> add(y, h)) & 1 for y in members):
+                break
+            gens.append(h)
+            closure = subgroup_generated(grp, gens).bits
+        else:
             break
-        b ^= low
     return Subgroup(grp, mask)
 
 
@@ -406,12 +437,16 @@ def preimage_subset(classes: int, view: Quotient) -> GroupSubset:
 
 def _lift(view: Quotient, classes: int) -> GroupSubset:
     """Full preimage of the chosen classes plus every other coset minus its max flat index."""
+    g = view.base.size
+    chosen = format(classes, f"0{view.size}b")[::-1]  # chosen[cls] is class cls's bit
+    # One ASCII digit per element, converted once: clearing the maxima in a
+    # g-bit int would copy all g bits per coset.
     top = {cls: a for a, cls in enumerate(view.projection)}  # ascending a: the max wins
-    bits = (1 << view.base.size) - 1
+    digits = bytearray(b"1" * g)  # digits[a] is bit a
     for cls, a in top.items():
-        if not (classes >> cls) & 1:
-            bits ^= 1 << a
-    return GroupSubset(view.base, bits)
+        if chosen[cls] == "0":
+            digits[a] = 48  # "0"
+    return GroupSubset(view.base, int(digits[::-1], 2))
 
 
 def subgroup_generated(group: Group, generators: Iterable[int]) -> Subgroup:

@@ -2,6 +2,7 @@
 
 import random
 import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from shiftfree.groups import (
     GroupSubset,
     Quotient,
     Subgroup,
+    _lift,
     preimage_subset,
     project_subset,
     quotient_view,
@@ -33,9 +35,41 @@ SMALL_ORDERS = [
 MEDIUM_ORDERS = SMALL_ORDERS + [[9], [3, 3], [12], [2, 6], [2, 2, 3], [4, 3]]
 
 
+def presentations(n: int) -> list[list[int]]:
+    """Every ordered tuple of cyclic factors >= 2 with product n; [1] for n = 1."""
+    if n == 1:
+        return [[1]]
+    out = [[n]]
+    for f in range(2, n):
+        if n % f == 0:
+            out += [[f] + rest for rest in presentations(n // f)]
+    return out
+
+
+def all_subgroups(grp: Group) -> list[Subgroup]:
+    """Every subgroup, by closing each one found under one more element."""
+    found = {1}
+    frontier = [[]]  # generators of each subgroup found
+    while frontier:
+        gens = frontier.pop()
+        for a in grp.elements():
+            sub = subgroup_generated(grp, gens + [a])
+            if sub.bits not in found:
+                found.add(sub.bits)
+                frontier.append(gens + [a])
+    return [Subgroup(grp, bits) for bits in sorted(found)]
+
+
+@lru_cache(maxsize=None)
+def addition_table(grp: Group) -> list[list[int]]:
+    return [[grp.add(t, y) for y in grp.elements()] for t in grp.elements()]
+
+
 def brute_stabilizer(subset: GroupSubset) -> set[int]:
+    bits, members = subset.bits, subset.indices()
     return {
-        t for t in subset.group.elements() if subset.translate(t).bits == subset.bits
+        t for t, row in enumerate(addition_table(subset.group))
+        if all((bits >> row[y]) & 1 for y in members)
     }
 
 
@@ -236,12 +270,73 @@ def test_stabilizer_of_coset_union_in_c2024():
     assert stabilizer(s).order == 8
 
 
+def stabilizer_cases(grp: Group, rng: random.Random) -> list[int]:
+    """Bitsets to check the stabilizer on: all of them up to order 12.
+
+    Above that: every union of cosets of a nontrivial subgroup, each with
+    one element toggled (a near miss whose running mask can reach an order
+    dividing |G| and |S| without being the stabilizer), and random subsets.
+    """
+    g = grp.size
+    if g <= 12:
+        return list(range(1, 1 << g))
+    cases = {rng.randrange(1, 1 << g) for _ in range(200)}
+    for sub in all_subgroups(grp)[1:]:
+        view = quotient_view(grp, sub)
+        for classes in range(1, 1 << view.size):
+            union = preimage_subset(classes, view).bits
+            cases |= {union, union ^ (1 << rng.randrange(g))}
+    cases.discard(0)
+    return sorted(cases)
+
+
 def test_stabilizer_matches_brute_force():
-    for orders in SMALL_ORDERS:
-        grp = Group(orders)
-        for bits in range(1, 1 << grp.size):
-            s = GroupSubset(grp, bits)
-            assert set(stabilizer(s).indices()) == brute_stabilizer(s)
+    rng = random.Random(16)
+    for n in range(1, 17):
+        for orders in presentations(n):
+            grp = Group(orders)
+            full = (1 << grp.size) - 1
+            for bits in stabilizer_cases(grp, rng):
+                s = GroupSubset(grp, bits)
+                stab = stabilizer(s)
+                assert set(stab.indices()) == brute_stabilizer(s), (orders, bits)
+                if bits != full:
+                    assert stabilizer(GroupSubset(grp, bits ^ full)).bits == stab.bits
+
+
+def test_stabilizer_translate_calls(monkeypatch):
+    calls = []
+    translate = GroupSubset.translate
+
+    def counted(self, t):
+        calls.append(t)
+        return translate(self, t)
+
+    z2024 = Group([2024])
+    coset = GroupSubset(z2024, subgroup_generated(z2024, [253]).bits)
+    union = 0
+    for r in range(250):
+        union |= coset.translate(r).bits
+    z4096 = Group([4096])
+    sparse = sorted(random.Random(7).sample(range(4096), 40))
+    # H is trivial, so the loop stops at the first x (ascending) after
+    # which the intersection of the S - x is {0}.
+    mask, steps = (1 << 4096) - 1, 0
+    while mask != 1:
+        x = sparse[steps]
+        mask &= sum(1 << ((y - x) % 4096) for y in sparse)
+        steps += 1
+
+    monkeypatch.setattr(GroupSubset, "translate", counted)
+    stabilizer.cache_clear()
+    assert stabilizer(GroupSubset.full(z4096)).order == 4096
+    assert calls == []
+    # 2000 elements: the stabilizer runs on the 3 cosets outside them.
+    assert stabilizer(GroupSubset(z2024, union)).order == 8
+    assert len(calls) == 3
+    calls.clear()
+    assert stabilizer(GroupSubset.from_indices(z4096, sparse)).order == 1
+    assert len(calls) == steps
 
 
 def test_stabilizer_translation_invariant_exhaustive():
@@ -409,6 +504,32 @@ def test_project_preimage_round_trip():
             classes = project_subset(s, view)
             assert classes.bit_count() == len(reps)
             assert preimage_subset(classes, view).bits == s.bits
+
+
+def lift_reference(view: Quotient, classes: int) -> int:
+    """_lift by clearing one bit at a time in the full int."""
+    top = {cls: a for a, cls in enumerate(view.projection)}
+    bits = (1 << view.base.size) - 1
+    for cls, a in top.items():
+        if not (classes >> cls) & 1:
+            bits ^= 1 << a
+    return bits
+
+
+def test_lift_matches_reference_on_every_small_group():
+    rng = random.Random(19)
+    for n in range(1, 17):
+        for orders in presentations(n):
+            grp = Group(orders)
+            for sub in all_subgroups(grp):
+                view = quotient_view(grp, sub)
+                top = (1 << view.size) - 1
+                if view.size <= 8:
+                    masks = range(top + 1)
+                else:
+                    masks = [0, top] + [rng.randrange(top + 1) for _ in range(64)]
+                for classes in masks:
+                    assert _lift(view, classes).bits == lift_reference(view, classes)
 
 
 def test_project_subset_rejects_non_coset_union():
