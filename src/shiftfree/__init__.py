@@ -54,7 +54,6 @@ from .groups import (
     quotient_view,
     stabilizer,
     subgroup_generated,
-    transversal,
 )
 
 __version__ = "0.1.0"
@@ -65,7 +64,6 @@ __all__ = [
     "Quotient",
     "Subgroup",
     "stabilizer",
-    "transversal",
     "quotient_view",
     "project_subset",
     "preimage_subset",

@@ -36,7 +36,7 @@ from .bounds import BoundsReport, bounds_report
 from .construct import construct_thm1, construct_thm2, search_avoider, verify_avoids
 from .errors import BudgetExceededError, ParseError, SearchExhaustedError
 from .exact import DEFAULT_BUDGET_MS, exact_N
-from .groups import Group, GroupSubset, stabilizer, subgroup_generated
+from .groups import Group, GroupSubset, stabilizer
 
 __all__ = ["main", "run", "parse_group", "format_group", "parse_set"]
 
@@ -162,13 +162,13 @@ def _parse_cosets(text: str, group: Group) -> GroupSubset:
 
 def _coset_union(group: Group, order: int, reps: Iterable[int]) -> GroupSubset:
     """Union of the cosets r + H over reps, H the order-`order` subgroup of a cyclic group."""
-    # The one nontrivial factor has stride 1, so flat index g/order generates H.
-    sub = subgroup_generated(group, [group.size // order % group.size])
-    bits = 0
+    # The one nontrivial factor has stride 1, so H is generated by k = g/order
+    # and r + H holds every a = r mod k: k digits, repeated order times.
+    k = group.size // order
+    digits = bytearray(b"0" * k)  # digits[i] is bit i of each block of k bits
     for r in reps:
-        group.check_element(r)
-        bits |= sub.translate(r).bits
-    return GroupSubset(group, bits)
+        digits[group.check_element(r) % k] = 49  # "1"
+    return GroupSubset(group, int(digits[::-1] * order, 2))
 
 
 # -- document building --------------------------------------------------------

@@ -423,11 +423,12 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
         _, witness_bits, nodes = _solve_hitting_set(core, g, deadline)
         if len(core) < len(family):
             # Lift: r + witness hits the whole copy r + S lies in; the copies
-            # are disjoint, so each K-coset gets exactly one.
+            # are disjoint, so each K-coset gets exactly one.  The shifts are
+            # drawn lazily, so each test sees every lift made before it.
             witness = GroupSubset(grp, witness_bits)
-            for r, t in zip(view.representatives, family):
-                if not t & witness_bits:
-                    witness_bits |= witness.translate(r).bits
+            shifts = (r for r, t in zip(view.representatives, family) if not t & witness_bits)
+            for lifted in _translates(witness, shifts):
+                witness_bits |= lifted
     avoider = certify(GroupSubset(grp, witness_bits).complement(), pattern).avoiding_set
     return ExactResult(max_avoider=avoider, nodes=nodes)
 

@@ -8,12 +8,23 @@ view.  Subsets are arbitrary-precision ints used as bitsets, bit i = element i,
 which keeps compare/intersect at machine speed for the sizes the exact solver
 can reach.  _translates is the rotation kernel: it translates one subset by a
 list of shifts with one masked rotation per axis.  It builds the translate
-family in exact (translate_family and exact_N) and serves verify_avoids;
-GroupSubset.translate, Quotient and the avoider search's class masks still
-translate element by element through add.  stabilizer translates through
-GroupSubset.translate, but works on the smaller of S and G - S and stops as
-soon as its running mask is proven to be the stabilizer, so a coset union
-with a large stabilizer costs a few translates, not |S|.
+family in exact (translate_family and exact_N), serves verify_avoids and
+exact_N's lift, and closes subgroup_generated by doubling.  The G/H helpers
+never build a |G|-bit int one bit at a time: positions go out through
+_bit_indices and come in through one digit string (project_subset,
+preimage_subset, _lift), so each is one linear pass.
+
+Still per element: Quotient lists H's members once and calls add once per
+element of G, as its projection holds one entry per element anyway, and the
+avoider search's class masks add once per (class, pattern element).
+GroupSubset.translate and from_indices OR in one element at a time, and
+stabilizer translates through GroupSubset.translate.  Those three carry the
+large-order benchmark workload, whose instance generator keeps a key per op
+drawn, so a faster program there reads a higher peak RSS; they move to the
+kernel once that generator's memory is bounded.  stabilizer already works on
+the smaller of S and G - S and stops as soon as its running mask is proven
+to be the stabilizer, so a coset union with a large stabilizer costs a few
+translates, not |S|.
 
 Only a Group has a group law, and every GroupSubset lives in one.  A Quotient
 of G by a subgroup H is not a group here: it is the projection of G onto
@@ -42,7 +53,6 @@ __all__ = [
     "GroupSubset",
     "Subgroup",
     "stabilizer",
-    "transversal",
     "quotient_view",
     "project_subset",
     "preimage_subset",
@@ -154,33 +164,19 @@ class Quotient:
             raise DomainMismatchError("modulus subgroup does not live in the base group")
         projection = [-1] * base.size
         reps = []
-        hbits = modulus.bits
+        members, add = _bit_indices(modulus.bits), base.add
         for a in range(base.size):
             if projection[a] >= 0:
                 continue
             cls = len(reps)
             reps.append(a)
-            h = hbits
-            while h:
-                low = h & -h
-                projection[base.add(a, low.bit_length() - 1)] = cls
-                h ^= low
+            for h in members:
+                projection[add(a, h)] = cls
         self.base = base
         self.modulus = modulus
         self.projection = tuple(projection)
         self.representatives = tuple(reps)
         self.size = len(reps)
-
-    def project(self, a: int) -> int:
-        """Class index of a base-group element."""
-        self.base.check_element(a)
-        return self.projection[a]
-
-    def class_members(self, cls: int) -> list[int]:
-        """Flat indices of the base-group coset with class index cls."""
-        if not 0 <= cls < self.size:
-            raise DomainMismatchError(f"class index {cls} outside quotient of order {self.size}")
-        return [a for a in range(self.base.size) if self.projection[a] == cls]
 
     def __repr__(self) -> str:
         return f"Quotient(base={self.base!r}, classes={self.size})"
@@ -296,16 +292,6 @@ class GroupSubset:
     def complement(self) -> "GroupSubset":
         return GroupSubset(self.group, self.bits ^ ((1 << self.group.size) - 1))
 
-    def union(self, other: "GroupSubset") -> "GroupSubset":
-        if other.group != self.group:
-            raise DomainMismatchError("subsets live in different groups")
-        return GroupSubset(self.group, self.bits | other.bits)
-
-    def is_subset_of(self, other: "GroupSubset") -> bool:
-        if other.group != self.group:
-            raise DomainMismatchError("subsets live in different groups")
-        return self.bits & ~other.bits == 0
-
     def __repr__(self) -> str:
         return f"GroupSubset({self.group!r}, {{{', '.join(map(str, self.indices()))}}})"
 
@@ -404,21 +390,14 @@ def quotient_view(group: Group, modulus: Subgroup) -> Quotient:
     return Quotient(group, modulus)
 
 
-def transversal(group: Group, modulus: Subgroup) -> tuple[int, ...]:
-    """One representative per modulus-coset: the minimum flat index, ascending."""
-    return quotient_view(group, modulus).representatives
-
-
 def project_subset(subset: GroupSubset, view: Quotient) -> int:
     """Class-index mask of a union of modulus-cosets: bit i set iff class i is in it."""
     if subset.group != view.base:
         raise DomainMismatchError("subset does not live in the quotient's base group")
-    classes = 0
-    b = subset.bits
-    while b:
-        low = b & -b
-        classes |= 1 << view.projection[low.bit_length() - 1]
-        b ^= low
+    digits = bytearray(b"0" * view.size)  # digits[cls] is class cls's bit
+    for a in _bit_indices(subset.bits):
+        digits[view.projection[a]] = 49  # "1"
+    classes = int(digits[::-1], 2)
     if preimage_subset(classes, view).bits != subset.bits:
         raise NotCosetUnionError("subset is not a union of cosets of the modulus")
     return classes
@@ -428,11 +407,9 @@ def preimage_subset(classes: int, view: Quotient) -> GroupSubset:
     """Union of the base-group cosets whose class indices are set in the mask."""
     if not 0 <= classes < (1 << view.size):
         raise DomainMismatchError("class mask has bits outside the quotient's class indices")
-    bits = 0
-    for a, cls in enumerate(view.projection):
-        if (classes >> cls) & 1:
-            bits |= 1 << a
-    return GroupSubset(view.base, bits)
+    chosen = format(classes, f"0{view.size}b")[::-1]  # chosen[cls] is class cls's bit
+    # Element a's digit is its class's digit: one string, converted once.
+    return GroupSubset(view.base, int("".join([chosen[c] for c in reversed(view.projection)]), 2))
 
 
 def _lift(view: Quotient, classes: int) -> GroupSubset:
@@ -450,19 +427,22 @@ def _lift(view: Quotient, classes: int) -> GroupSubset:
 
 
 def subgroup_generated(group: Group, generators: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the generators, by closure iteration."""
+    """Smallest subgroup containing the generators, by kernel doubling.
+
+    With Y the subgroup so far, each generator t is taken by repeating
+    bits |= (c*t + bits) for c = 1, 2, 4, ..., so bits = Y + {0..2c-1}*t,
+    until a rotation adds nothing.  Then bits = Y + {0..c-1}*t is closed
+    under c*t, so it holds Y + c*t and bits + t lies in bits: bits is
+    Y + <t>.  A rotation that adds something doubles bits or completes
+    Y + <t>, so t costs at most ceil(log2 |<t>|) + 1 rotations.
+    """
+    gens = [group.check_element(t) for t in generators]
     bits = 1  # the zero element
-    frontier = [0]
-    gens = []
-    for g in generators:
-        group.check_element(g)
-        gens.append(g)
-    add = group.add
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            b = add(a, g)
-            if not (bits >> b) & 1:
-                bits |= 1 << b
-                frontier.append(b)
+    for t in gens:
+        while True:
+            moved = next(_translates(GroupSubset(group, bits), [t]))
+            if moved | bits == bits:
+                break
+            bits |= moved
+            t = group.add(t, t)
     return Subgroup(group, bits)

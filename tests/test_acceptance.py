@@ -22,7 +22,6 @@ from shiftfree.groups import (
     quotient_view,
     stabilizer,
     subgroup_generated,
-    transversal,
 )
 
 
@@ -126,7 +125,7 @@ def test_criterion_2_coset_closed_form():
                 sub = subgroup_generated(grp, [(n // d) % n])  # the order-d subgroup
                 assert sub.order == d
                 coset = GroupSubset(grp, sub.bits)
-                for rep in transversal(grp, sub):
+                for rep in quotient_view(grp, sub).representatives:
                     result = exact_N(coset.translate(rep))
                     assert result.n_value == (d - 1) * n // d + 1
                     checked += 1
