@@ -18,6 +18,9 @@ exactly its positionals.  Any other argv (help, --opt=value, abbreviations,
 the argparse tree build_parser makes from the same table, so argparse writes
 every help text, usage line and error.  Integer options take ASCII digits
 only, as spec numbers do.
+
+JSON documents are written by _json, which gives the bytes of
+json.dumps(doc, indent=2) and joins each list of plain ints in one call.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import __version__
@@ -41,6 +45,9 @@ from .groups import Group, GroupSubset, stabilizer
 __all__ = ["main", "run", "parse_group", "format_group", "parse_set"]
 
 _GROUP_RE = re.compile(r"^[Zz][0-9]+(?:[xX][Zz][0-9]+)*$")
+# Flat indices in ASCII digits, separated by commas and ASCII whitespace:
+# exactly the bodies whose items int() reads as the loop below does.
+_FLAT_BODY_RE = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*", re.ASCII)
 _COSETS_RE = re.compile(
     r"^cosets\(\s*order\s*=\s*([0-9]+)\s*;\s*reps\s*=\s*([0-9,\s]+)\)$", re.IGNORECASE
 )
@@ -86,6 +93,14 @@ def _parse_explicit(text: str, group: Group) -> GroupSubset:
     body = text[1:-1].strip()
     if not body:
         return GroupSubset.empty(group)
+    if _FLAT_BODY_RE.fullmatch(body):
+        try:
+            indices = list(map(int, body.split(",")))
+        except ValueError:  # a number over int()'s digit limit, worded below
+            pass
+        else:
+            return GroupSubset.from_indices(group, indices)
+    # Tuples, other whitespace, malformed specs and every error, item by item.
     indices = []
     for item in _split_top_level(body):
         item = item.strip()
@@ -415,9 +430,34 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # -- plumbing -----------------------------------------------------------------
 
 
+def _json(doc, pad: str = "\n") -> str:
+    """json.dumps(doc, indent=2) for documents with str keys, written without its generator.
+
+    json.dumps with an indent runs the pure-Python encoder, one generator
+    step per list item; a list of plain ints is joined here in one call.
+    """
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        if set(map(type, doc)) == {int}:  # bool is not int here: it prints as true/false
+            items = map(int.__repr__, doc)
+        else:
+            items = [_json(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if type(doc) is int:  # the common scalar; json.dumps builds an encoder per call
+        return int.__repr__(doc)
+    return json.dumps(doc)
+
+
 def _emit(args: argparse.Namespace, doc: dict, text_fn, csv_fn=None) -> None:
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     elif args.format == "csv":
         sys.stdout.write(csv_fn(doc))
     else:

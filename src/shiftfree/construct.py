@@ -23,7 +23,7 @@ from .bounds import thm2_lower
 from .errors import BudgetExceededError, EmptySetError, SearchExhaustedError
 from .exact import Certificate, certify, verify_avoids
 from .exact import _check_verify_work, _element_sets, _greedy_hitting_set, _solve_hitting_set
-from .groups import GroupSubset, _bit_indices, _lift, project_subset, quotient_view, stabilizer
+from .groups import GroupSubset, _bit_indices, _lift, _sums, project_subset, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -100,13 +100,11 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     view = quotient_view(grp, sub)
     members = project_subset(pattern, view)  # S/H, as class indices
     negated = [grp.neg(view.representatives[c]) for c in _bit_indices(members)]
-    projection, add = view.projection, grp.add
-    elem_masks = []
-    for r in view.representatives:
-        mask = 0
-        for x in negated:
-            mask |= 1 << projection[add(r, x)]
-        elem_masks.append(mask)
+    projection = view.projection
+    elem_masks = [0] * q  # built transposed: one pass over the classes per x
+    for x in negated:
+        sums = _sums(grp, x, view.representatives)
+        elem_masks = [mask | 1 << projection[b] for mask, b in zip(elem_masks, sums)]
     classes = _search(elem_masks, max(0, target_size - (g - q)), seed)
     if classes < 0:
         known = "exists" if q <= EXACT_FALLBACK_LIMIT else "found within budgets"

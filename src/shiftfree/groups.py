@@ -14,17 +14,22 @@ never build a |G|-bit int one bit at a time: positions go out through
 _bit_indices and come in through one digit string (project_subset,
 preimage_subset, _lift), so each is one linear pass.
 
-Still per element: Quotient lists H's members once and calls add once per
-element of G, as its projection holds one entry per element anyway, and the
-avoider search's class masks add once per (class, pattern element).
-GroupSubset.translate and from_indices OR in one element at a time, and
-stabilizer translates through GroupSubset.translate.  Those three carry the
-large-order benchmark workload, whose instance generator keeps a key per op
-drawn, so a faster program there reads a higher peak RSS; they move to the
-kernel once that generator's memory is bounded.  stabilizer already works on
-the smaller of S and G - S and stops as soon as its running mask is proven
-to be the stabilizer, so a coset union with a large stabilizer costs a few
-translates, not |S|.
+_sums adds one element to each element of a list, with one list
+comprehension per axis and no checks.  Quotient reads the class minima off
+H's bitset axis by axis (_class_minima) and fills its projection from _sums,
+one call per member of H or per class, whichever is fewer; with H trivial
+or G cyclic the class of a is a mod g/h and no sums are taken.  The avoider
+search builds its class masks with one _sums call per pattern class.
+from_indices sets its bits in a bytearray bitmap converted once.
+
+Still per element: GroupSubset.translate calls add once per element, and
+stabilizer translates through it (its generator check is one kernel
+rotation).  Those two carry the large-order benchmark workload, whose
+instance generator keeps a key per op drawn, so a faster program there
+reads a higher peak RSS; they move to the kernel once that generator's
+memory is bounded.  stabilizer already works on the smaller of S and G - S
+and stops as soon as its running mask is proven to be the stabilizer, so a
+coset union with a large stabilizer costs a few translates, not |S|.
 
 Only a Group has a group law, and every GroupSubset lives in one.  A Quotient
 of G by a subgroup H is not a group here: it is the projection of G onto
@@ -66,7 +71,7 @@ MAX_GROUP_ORDER = 2**24
 class Group:
     """Direct product of cyclic groups, elements addressed by flat index."""
 
-    __slots__ = ("orders", "size", "strides")
+    __slots__ = ("orders", "size", "strides", "axes")
 
     def __init__(self, orders: Sequence[int]):
         orders = tuple(int(m) for m in orders)
@@ -86,6 +91,9 @@ class Group:
         self.orders = orders
         self.size = size
         self.strides = tuple(strides)
+        # (order, stride) of each factor of order > 1; with at most one, flat
+        # index and coordinate agree.
+        self.axes = tuple((m, st) for m, st in zip(orders, strides) if m > 1)
 
     # -- element arithmetic over flat indices --------------------------------
 
@@ -162,24 +170,69 @@ class Quotient:
     def __init__(self, base: Group, modulus: "Subgroup"):
         if modulus.group != base:
             raise DomainMismatchError("modulus subgroup does not live in the base group")
-        projection = [-1] * base.size
-        reps = []
-        members, add = _bit_indices(modulus.bits), base.add
-        for a in range(base.size):
-            if projection[a] >= 0:
-                continue
-            cls = len(reps)
-            reps.append(a)
-            for h in members:
-                projection[add(a, h)] = cls
         self.base = base
         self.modulus = modulus
+        h = modulus.order
+        if h == 1 or len(base.axes) <= 1:
+            # H is trivial or, in a cyclic group, the multiples of k = g/h:
+            # either way the class of a is a mod k, and no sums are needed.
+            self.size = k = base.size // h
+            self.representatives = tuple(range(k))
+            self.projection = self.representatives * h
+            return
+        reps, members = _class_minima(base, modulus.bits), _bit_indices(modulus.bits)
+        projection = [0] * base.size
+        if len(members) <= len(reps):  # one sum per member, across every class
+            for e in members:
+                for cls, b in enumerate(_sums(base, e, reps)):
+                    projection[b] = cls
+        else:  # one sum per class, across its members
+            for cls, a in enumerate(reps):
+                for b in _sums(base, a, members):
+                    projection[b] = cls
         self.projection = tuple(projection)
         self.representatives = tuple(reps)
         self.size = len(reps)
 
     def __repr__(self) -> str:
         return f"Quotient(base={self.base!r}, classes={self.size})"
+
+
+def _class_minima(group: Group, subgroup_bits: int) -> list[int]:
+    """The smallest element of each coset of the subgroup H, ascending.
+
+    Flat indices order elements by their last nontrivial coordinate first.
+    Let G_k be the first k axes and H_k = H inside G_k.  H_k's last
+    coordinates are the multiples of d, the smallest positive one among them
+    (m if none), so the minimum of a coset of H_k has last coordinate t < d,
+    and below it the minimum of a coset of H_(k-1): axis by axis, the minima
+    are r + t*st over t < d and the minima r of the axes before.
+    """
+    reps = [0]
+    for m, st in group.axes:
+        above = (subgroup_bits & ((1 << st * m) - 1)) >> st  # H_k minus last coordinate 0
+        d = ((above & -above).bit_length() - 1) // st + 1 if above else m
+        reps = [r + t * st for t in range(d) for r in reps]
+    return reps
+
+
+def _sums(group: Group, a: int, elements: Sequence[int]) -> list[int]:
+    """[group.add(a, e) for e in elements], with no element checked.
+
+    One list comprehension per nontrivial axis, each adding that axis's
+    coordinate of a to the elements' and placing the sum at its stride.
+    """
+    axes = group.axes
+    if len(axes) <= 1:
+        g = group.size
+        return [(a + e) % g for e in elements]
+    m = axes[0][0]  # the first nontrivial axis has stride 1
+    c = a % m
+    out = [(c + e) % m for e in elements]
+    for m, st in axes[1:]:
+        c = a // st % m
+        out = [o + (c + e // st) % m * st for o, e in zip(out, elements)]
+    return out
 
 
 def _bit_indices(bits: int) -> list[int]:
@@ -212,8 +265,8 @@ def _translates(subset: "GroupSubset", shifts: Iterable[int]) -> Iterator[int]:
     grp = subset.group
     g, bits = grp.size, subset.bits
     full = (1 << g) - 1
-    axes = [(m, st) for m, st in zip(grp.orders, grp.strides) if m > 1]
-    if len(axes) <= 1:  # flat index and coordinate agree
+    axes = grp.axes
+    if len(axes) <= 1:
         for t in shifts:
             yield ((bits << t) | (bits >> (g - t))) & full
         return
@@ -249,11 +302,18 @@ class GroupSubset:
 
     @classmethod
     def from_indices(cls, group: Group, indices: Iterable[int]) -> "GroupSubset":
-        bits = 0
+        """The set of the given flat indices, built in a bytearray bitmap converted once.
+
+        ORing each bit into the int would copy all |G| bits per element.
+        """
+        indices = list(indices)
+        if indices and not 0 <= min(indices) <= max(indices) < group.size:
+            for a in indices:
+                group.check_element(a)
+        bitmap = bytearray((group.size + 7) >> 3)
         for a in indices:
-            group.check_element(a)
-            bits |= 1 << a
-        return cls(group, bits)
+            bitmap[a >> 3] |= 1 << (a & 7)
+        return cls(group, int.from_bytes(bitmap, "little"))
 
     @classmethod
     def empty(cls, group: Group) -> "GroupSubset":
@@ -360,7 +420,7 @@ def stabilizer(subset: GroupSubset) -> Subgroup:
         bits, s = bits ^ full, g - s
         subset = GroupSubset(grp, bits)
     members = _bit_indices(bits)
-    neg, add = grp.neg, grp.add
+    neg = grp.neg
     mask = full
     for x in members:
         shrunk = mask & subset.translate(neg(x)).bits
@@ -375,7 +435,7 @@ def stabilizer(subset: GroupSubset) -> Subgroup:
         while closure != mask:
             rest = mask & ~closure
             h = (rest & -rest).bit_length() - 1
-            if not all((bits >> add(y, h)) & 1 for y in members):
+            if next(_translates(subset, [h])) != bits:
                 break
             gens.append(h)
             closure = subgroup_generated(grp, gens).bits

@@ -20,6 +20,7 @@ from shiftfree.groups import (
     Quotient,
     Subgroup,
     _lift,
+    _sums,
     preimage_subset,
     project_subset,
     quotient_view,
@@ -598,6 +599,46 @@ def test_quotient_matches_reference_on_every_small_group():
                     assert outcome(project_subset, GroupSubset(grp, bits), view) == outcome(
                         project_reference, projection, bits
                     )
+
+
+def test_sums_match_add_on_every_small_group():
+    # Every a, against every element in ascending and in shuffled order; the
+    # extra presentation wraps one in order-1 factors, which _sums skips.
+    rng = random.Random(29)
+    for n in range(1, 17):
+        for orders in presentations(n) + [[1] + presentations(n)[-1] + [1]]:
+            grp = Group(orders)
+            elements = list(grp.elements())
+            shuffled = rng.sample(elements, len(elements))
+            for a in grp.elements():
+                for es in (elements, shuffled, shuffled[: n // 2]):
+                    assert _sums(grp, a, es) == [grp.add(a, e) for e in es], (orders, a)
+
+
+def test_quotient_matches_reference_on_larger_products():
+    # Class minima are built axis by axis; subgroups from one or two random
+    # generators of products with up to three axes, some of them order 1.
+    rng = random.Random(31)
+    for orders in ([6, 10, 4], [9, 12], [4, 1, 4, 4], [2, 3, 2, 5], [8, 6, 1], [16, 16]):
+        grp = Group(orders)
+        for _ in range(12):
+            sub = Subgroup(grp, closure_reference(grp, rng.sample(range(grp.size), rng.randint(1, 2))))
+            view = Quotient(grp, sub)
+            assert (list(view.projection), list(view.representatives)) == quotient_reference(grp, sub)
+
+
+def test_quotient_makes_no_checked_add_calls(monkeypatch):
+    subgroups = []
+    for orders, gens in (([12], [4]), ([4, 6], [6, 2]), ([2, 3, 4], [1]), ([5, 3], [])):
+        grp = Group(orders)
+        subgroups.append(Subgroup(grp, closure_reference(grp, gens)))
+
+    def refused(self, a, b):
+        raise AssertionError("Group.add called")
+
+    monkeypatch.setattr(Group, "add", refused)
+    for sub in subgroups:
+        assert Quotient(sub.group, sub).size == sub.group.size // sub.order
 
 
 def test_quotient_by_a_small_subgroup_of_a_large_group_is_linear():
