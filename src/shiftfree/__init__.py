@@ -12,8 +12,6 @@ from .bounds import (
     bounds_report,
     ceil_root_power,
     lemma_lower,
-    proposition_check,
-    proposition_margin_grid,
     thm1_lower,
     thm2_lower,
     upper_bound,
@@ -41,7 +39,6 @@ from .exact import (
     TranslateFamily,
     exact_N,
     min_hitting_set,
-    naive_exact,
     translate_family,
 )
 from .groups import (
@@ -75,8 +72,6 @@ __all__ = [
     "thm2_lower",
     "upper_bound",
     "ceil_root_power",
-    "proposition_check",
-    "proposition_margin_grid",
     "Certificate",
     "verify_avoids",
     "construct_thm1",
@@ -87,7 +82,6 @@ __all__ = [
     "min_hitting_set",
     "ExactResult",
     "exact_N",
-    "naive_exact",
     "ShiftfreeError",
     "InvalidGroupError",
     "DomainMismatchError",

@@ -17,8 +17,9 @@ lemma_lower is the least t with t**s >= h*g**(s-1) and the thm2 ceiling is the
 least t with t**s >= (g/h)**(s-h).
 
 The real-valued inequality behind thm2_lower >= lemma_lower (for g >= h >= 1,
-s >= 1: (h-1)/h*g + (g/h)**(1-h/s) >= h**(1/s) * g**(1-1/s)) is checked
-numerically, pointwise and on dense grids; it has no symbolic proof here.
+s >= 1: (h-1)/h*g + (g/h)**(1-h/s) >= h**(1/s) * g**(1-1/s)) has no symbolic
+proof here; tests/oracles.py checks it numerically, pointwise and on dense
+grids.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "thm2_lower",
     "BoundsReport",
     "bounds_report",
-    "proposition_check",
-    "proposition_margin_grid",
 ]
 
 
@@ -172,50 +171,3 @@ def bounds_report(subset: GroupSubset) -> BoundsReport:
         upper=upper_bound(g, s),
         best_lower=max(t1, lm, t2),
     )
-
-
-# Slack allowed below zero by proposition_check, and the rows of g values one
-# vectorized step of proposition_margin_grid evaluates (this bounds its memory).
-PROPOSITION_TOLERANCE = 1e-9
-MARGIN_GRID_CHUNK = 256
-
-
-def proposition_check(g: float, h: float, s: float) -> bool:
-    """Check (h-1)/h*g + (g/h)**(1-h/s) >= h**(1/s)*g**(1-1/s) - PROPOSITION_TOLERANCE.
-
-    Real-valued inputs with g >= h >= 1 and s >= 1; this is the floating-point
-    margin test, not a proof.
-    """
-    if h < 1 or s < 1:
-        raise ValueError(f"need h >= 1 and s >= 1, got h={h}, s={s}")
-    if g < h:
-        raise ValueError(f"need g >= h, got g={g}, h={h}")
-    return _margin(float(g), float(h), float(s)) >= -PROPOSITION_TOLERANCE
-
-
-def proposition_margin_grid(h: int, g_max: int, s_values: "numpy.ndarray") -> float:
-    """Minimum margin of the thm2-vs-lemma real inequality over a dense grid.
-
-    Evaluates every g in {h, 2h, ..., <= g_max} against every s in s_values
-    for one integer h, vectorized and chunked to bound memory.  Returns the
-    minimum of LHS - RHS over the grid; the inequality holds at tolerance tol
-    iff the result is >= -tol.
-    """
-    import numpy as np  # only this grid needs numpy; keep it off the CLI import path
-
-    if h < 1:
-        raise ValueError(f"need h >= 1, got {h}")
-    s = np.asarray(s_values, dtype=np.float64)
-    if s.size == 0 or float(s.min()) < 1.0:
-        raise ValueError("s_values must be nonempty with every entry >= 1")
-    g_all = np.arange(h, g_max + 1, h, dtype=np.float64)
-    worst = np.inf
-    for start in range(0, g_all.size, MARGIN_GRID_CHUNK):
-        g = g_all[start : start + MARGIN_GRID_CHUNK][:, None]
-        margin = _margin(g, float(h), s[None, :])
-        worst = min(worst, float(margin.min()))
-    return worst
-
-
-def _margin(g, h, s):
-    return (h - 1.0) / h * g + (g / h) ** (1.0 - h / s) - h ** (1.0 / s) * g ** (1.0 - 1.0 / s)

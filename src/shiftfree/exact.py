@@ -54,10 +54,6 @@ passes through certify, which calls it and treats a failure as a bug: a
 returned avoider is re-verified, never trusted from its construction.  It
 rotates the smaller side, the candidate once per element of S or S once per
 class of G/H, so it costs min(|S|, |G/H|) rotations of a |G|-bit set.
-
-naive_exact is the independent oracle: it enumerates all 2^|G| subsets and
-checks all |G| translates with plain set arithmetic, no transversal, no
-bitsets, no duality.  It exists to disagree with exact_N if either is wrong.
 """
 
 from __future__ import annotations
@@ -78,12 +74,10 @@ __all__ = [
     "min_hitting_set",
     "ExactResult",
     "exact_N",
-    "naive_exact",
 ]
 
 DEFAULT_MAX_ORDER = 40
 DEFAULT_BUDGET_MS = 10_000
-NAIVE_MAX_ORDER = 16
 # Covered-set masks _solve_hitting_set remembers; 2**18 of them take about 20 MB.
 MEMO_MAX_ENTRIES = 2**18
 # Largest family _bandwidth_order tests pair by pair (n**2/2 overlap tests);
@@ -431,24 +425,3 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
                 witness_bits |= lifted
     avoider = certify(GroupSubset(grp, witness_bits).complement(), pattern).avoiding_set
     return ExactResult(max_avoider=avoider, nodes=nodes)
-
-
-def naive_exact(pattern: GroupSubset) -> int:
-    """Brute-force N: try all subsets against all |G| translates, sets only."""
-    if pattern.bits == 0:
-        raise EmptySetError("exact solve needs a nonempty pattern")
-    grp = pattern.group
-    g = grp.size
-    if g > NAIVE_MAX_ORDER:
-        raise BudgetExceededError(f"naive oracle capped at order {NAIVE_MAX_ORDER}, got {g}")
-    members = pattern.indices()
-    translates = [frozenset(grp.add(t, x) for x in members) for t in range(g)]
-    # Any set smaller than the pattern avoids vacuously.
-    best = len(members) - 1
-    for mask in range(1 << g):
-        if mask.bit_count() <= best:
-            continue
-        subset = {i for i in range(g) if (mask >> i) & 1}
-        if not any(tr <= subset for tr in translates):
-            best = len(subset)
-    return best + 1

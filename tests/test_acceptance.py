@@ -12,10 +12,11 @@ import time
 
 import numpy as np
 
-from shiftfree.bounds import bounds_report, ceil_root_power, proposition_margin_grid
+from oracles import naive_exact, proposition_margin_grid
+from shiftfree.bounds import bounds_report, ceil_root_power
 from shiftfree.cli import main
 from shiftfree.construct import construct_thm1, construct_thm2
-from shiftfree.exact import exact_N, naive_exact
+from shiftfree.exact import exact_N
 from shiftfree.groups import (
     Group,
     GroupSubset,

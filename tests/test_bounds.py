@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import coset_union, proposition_check, proposition_margin_grid
 from shiftfree.bounds import (
     bounds_report,
     ceil_root_power,
     lemma_lower,
-    proposition_check,
-    proposition_margin_grid,
     thm1_lower,
     thm2_lower,
     upper_bound,
@@ -202,14 +201,6 @@ def test_collapse_cases():
 
 
 # -- aggregated report ---------------------------------------------------------
-
-
-def coset_union(group: Group, generator: int, reps: list[int]) -> GroupSubset:
-    coset = GroupSubset(group, subgroup_generated(group, [generator]).bits)
-    bits = 0
-    for r in reps:
-        bits |= coset.translate(r).bits
-    return GroupSubset(group, bits)
 
 
 def test_bounds_report_anchor_c2024():

@@ -927,7 +927,10 @@ def test_group_over_order_cap_exits_one():
 
 def test_cli_import_leaves_numpy_unloaded():
     src = Path(shiftfree.__file__).resolve().parents[1]
-    code = "import sys, shiftfree.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, shiftfree, shiftfree.bounds, shiftfree.construct, shiftfree.exact, "
+        "shiftfree.groups, shiftfree.cli; print('numpy' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -936,3 +939,12 @@ def test_cli_import_leaves_numpy_unloaded():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_package_has_no_runtime_numpy_and_exports_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert not any("numpy" in dep for dep in project["dependencies"])
+    for name in shiftfree.__all__:
+        assert hasattr(shiftfree, name), name

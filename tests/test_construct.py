@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import coset_union, naive_exact, presentations
 from shiftfree import construct
 from shiftfree.bounds import ceil_root_power, lemma_lower, thm2_lower
 from shiftfree.construct import (
@@ -24,7 +25,6 @@ from shiftfree.errors import (
     EmptySetError,
     SearchExhaustedError,
 )
-from shiftfree.exact import naive_exact
 from shiftfree.groups import Group, GroupSubset, quotient_view, stabilizer, subgroup_generated
 
 # Every group of order <= 10, one presentation per multiset of factor orders.
@@ -42,25 +42,6 @@ def contains_translate_anywhere(candidate: GroupSubset, pattern: GroupSubset) ->
     return any(
         all(grp.add(t, x) in cand for x in members) for t in grp.elements()
     )
-
-
-def presentations(n: int) -> list[list[int]]:
-    """Every ordered tuple of cyclic factors >= 2 with product n; [1] for n = 1."""
-    if n == 1:
-        return [[1]]
-    out = [[n]]
-    for f in range(2, n):
-        if n % f == 0:
-            out += [[f] + rest for rest in presentations(n // f)]
-    return out
-
-
-def coset_union(group: Group, generator: int, reps: list[int]) -> GroupSubset:
-    coset = GroupSubset(group, subgroup_generated(group, [generator]).bits)
-    bits = 0
-    for r in reps:
-        bits |= coset.translate(r).bits
-    return GroupSubset(group, bits)
 
 
 # -- certificate type ---------------------------------------------------------

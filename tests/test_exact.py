@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from oracles import NAIVE_MAX_ORDER, naive_exact, presentations
 from shiftfree import exact
 from shiftfree.bounds import bounds_report
 from shiftfree.cli import parse_group, parse_set
@@ -13,11 +14,9 @@ from shiftfree.construct import construct_thm1, verify_avoids
 from shiftfree.errors import BudgetExceededError, EmptySetError
 from shiftfree.exact import (
     DEFAULT_MAX_ORDER,
-    NAIVE_MAX_ORDER,
     TranslateFamily,
     exact_N,
     min_hitting_set,
-    naive_exact,
     translate_family,
 )
 from shiftfree.groups import Group, GroupSubset, _translates, stabilizer, subgroup_generated
@@ -38,17 +37,6 @@ ORDERS_UP_TO_12 = [
     [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2],
     [9], [3, 3], [10], [11], [12], [2, 6],
 ]
-
-
-def presentations(n: int) -> list[list[int]]:
-    """Every ordered tuple of cyclic factors >= 2 with product n; [1] for n = 1."""
-    if n == 1:
-        return [[1]]
-    out = [[n]]
-    for f in range(2, n):
-        if n % f == 0:
-            out += [[f] + rest for rest in presentations(n // f)]
-    return out
 
 
 def coset_union(group: Group, order: int, reps: list[int]) -> GroupSubset:

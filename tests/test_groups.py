@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import presentations, validate_subgroup
 from shiftfree.errors import (
     DomainMismatchError,
     EmptySetError,
@@ -33,17 +34,6 @@ SMALL_ORDERS = [
     [1], [2], [3], [4], [2, 2], [5], [6], [2, 3], [7], [8], [2, 4], [2, 2, 2],
 ]
 MEDIUM_ORDERS = SMALL_ORDERS + [[9], [3, 3], [12], [2, 6], [2, 2, 3], [4, 3]]
-
-
-def presentations(n: int) -> list[list[int]]:
-    """Every ordered tuple of cyclic factors >= 2 with product n; [1] for n = 1."""
-    if n == 1:
-        return [[1]]
-    out = [[n]]
-    for f in range(2, n):
-        if n % f == 0:
-            out += [[f] + rest for rest in presentations(n // f)]
-    return out
 
 
 def closure_reference(grp: Group, gens: list[int]) -> int:
@@ -376,7 +366,7 @@ def test_stabilizer_is_closed_subgroup():
         grp = Group(orders)
         for _ in range(8):
             s = GroupSubset(grp, rng.randrange(1, 1 << grp.size))
-            stabilizer(s).validate()
+            validate_subgroup(stabilizer(s))
 
 
 def test_stabilizer_rejects_empty_set():
@@ -402,7 +392,7 @@ def test_subgroup_generated_is_closed():
     for orders in MEDIUM_ORDERS:
         grp = Group(orders)
         for gen in grp.elements():
-            sub = subgroup_generated(grp, [gen]).validate()
+            sub = validate_subgroup(subgroup_generated(grp, [gen]))
             assert grp.size % sub.order == 0
 
 
@@ -434,7 +424,7 @@ def test_subgroup_construction_guards():
         Subgroup(z4, 0b0111)  # order 3 does not divide 4
     z6 = Group([6])
     with pytest.raises(InvalidGroupError):
-        Subgroup(z6, 0b000111).validate()  # {0,1,2} is not closed
+        validate_subgroup(Subgroup(z6, 0b000111))  # {0,1,2} is not closed
 
 
 # -- transversals and quotients ----------------------------------------------
