@@ -23,7 +23,8 @@ from .bounds import thm2_lower
 from .errors import BudgetExceededError, EmptySetError, SearchExhaustedError
 from .exact import Certificate, certify, verify_avoids
 from .exact import _check_verify_work, _element_sets, _greedy_hitting_set, _solve_hitting_set
-from .groups import GroupSubset, _bit_indices, _lift, _sums, project_subset, quotient_view, stabilizer
+from .groups import Group, GroupSubset, _bit_indices, _close, _lift, _ranks, _translates
+from .groups import quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -75,7 +76,9 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     """Find a verified avoiding set of exactly target_size elements.
 
     With H the pattern's stabilizer and q = |G/H|, class c's mask holds the
-    translates of S/H at the classes of representatives[c] - x, x in S/H.
+    translates of S/H at the classes of representatives[c] - S, the ranks of
+    the coset minima in one rotation of -S (the negated minima of S closed
+    under H's pivots).
     _search finds target_size - (g - q) classes avoiding S/H (at least 0),
     and _lift adds every other coset minus its maximum, cut to the lowest
     target_size elements when there are more.
@@ -98,13 +101,11 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     if not 0 <= target_size <= g:
         raise ValueError(f"target size must lie in [0, {g}], got {target_size}")
     view = quotient_view(grp, sub)
-    members = project_subset(pattern, view)  # S/H, as class indices
-    negated = [grp.neg(view.representatives[c]) for c in _bit_indices(members)]
-    projection = view.projection
-    elem_masks = [0] * q  # built transposed: one pass over the classes per x
-    for x in negated:
-        sums = _sums(grp, x, view.representatives)
-        elem_masks = [mask | 1 << projection[b] for mask, b in zip(elem_masks, sums)]
+    negated = [grp.neg(a) for a in _bit_indices(pattern.bits & view.minima)]  # -(S/H)
+    minus = GroupSubset(grp, _close(grp, GroupSubset.from_indices(grp, negated).bits, view.pivots))
+    if len(grp.axes) <= 1:  # G/H is Z_q, and each minimum is its own class
+        minus = GroupSubset(Group([q]), minus.bits & view.minima)
+    elem_masks = [_ranks(view, b & view.minima) for b in _translates(minus, view.representatives)]
     classes = _search(elem_masks, max(0, target_size - (g - q)), seed)
     if classes < 0:
         known = "exists" if q <= EXACT_FALLBACK_LIMIT else "found within budgets"

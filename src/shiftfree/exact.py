@@ -21,9 +21,10 @@ subgroup K = <S - S> (K contains H), and translates overlap only inside one,
 so the family is [G:K] disjoint translated copies of the translates inside
 s0 + K.  That coset is the connected component of S itself, found by ORing
 overlapping family sets.  Solve: the search runs on that component's
-masked sets alone, at most |K/H| candidates.  Lift: the witness is
-translated onto every other K-coset by the first family element's shift
-there, so tau(G, S) = [G:K] tau(K, S - s0).
+masked sets alone, their elements relabelled by rank in ascending order, so
+each of its passes covers at most |K/H| candidates, not G.  Lift: the
+witness is translated onto every other K-coset by the first family
+element's shift there, so tau(G, S) = [G:K] tau(K, S - s0).
 
 The solver is a memoized frontier search: greedy incumbent first, then a
 depth-first search that always branches on the first uncovered set, over
@@ -414,7 +415,18 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
                 if t & block:
                     block |= t
         core = [t & maxima for t in family if t & block]
-        _, witness_bits, nodes = _solve_hitting_set(core, g, deadline)
+        # Solved over the core's elements alone, relabelled by rank unless
+        # they are 0..n-1: that keeps their order, so the search and its
+        # witness are those over G.
+        elements = _bit_indices(block & maxima)
+        relabel = elements[-1] >= len(elements)
+        if relabel:
+            ranked = {a: 1 << i for i, a in enumerate(elements)}.__getitem__
+            core = [sum(map(ranked, _bit_indices(t))) for t in core]
+        _, witness_bits, nodes = _solve_hitting_set(core, len(elements), deadline)
+        if relabel:
+            picked = [elements[i] for i in _bit_indices(witness_bits)]
+            witness_bits = GroupSubset.from_indices(grp, picked).bits
         if len(core) < len(family):
             # Lift: r + witness hits the whole copy r + S lies in; the copies
             # are disjoint, so each K-coset gets exactly one.  The shifts are

@@ -9,17 +9,8 @@ which keeps compare/intersect at machine speed for the sizes the exact solver
 can reach.  _translates is the rotation kernel: it translates one subset by a
 list of shifts with one masked rotation per axis.  It builds the translate
 family in exact (translate_family and exact_N), serves verify_avoids and
-exact_N's lift, and closes subgroup_generated by doubling.  The G/H helpers
-never build a |G|-bit int one bit at a time: positions go out through
-_bit_indices and come in through one digit string (project_subset,
-preimage_subset, _lift), so each is one linear pass.
-
-_sums adds one element to each element of a list, with one list
-comprehension per axis and no checks.  Quotient reads the class minima off
-H's bitset axis by axis (_class_minima) and fills its projection from _sums,
-one call per member of H or per class, whichever is fewer; with H trivial
-or G cyclic the class of a is a mod g/h and no sums are taken.  The avoider
-search builds its class masks with one _sums call per pattern class.
+exact_N's lift, and _close adds a subgroup to a set by doubling:
+subgroup_generated is {0} closed under its generators.
 from_indices sets its bits in a bytearray bitmap converted once.
 
 Still per element: GroupSubset.translate calls add once per element, and
@@ -32,15 +23,20 @@ and stops as soon as its running mask is proven to be the stabilizer, so a
 coset union with a large stabilizer costs a few translates, not |S|.
 
 Only a Group has a group law, and every GroupSubset lives in one.  A Quotient
-of G by a subgroup H is not a group here: it is the projection of G onto
-coset-class indices, class i being the coset whose minimum flat index is
-representatives[i] (ascending).  A set of classes is a plain int bitmask over
-class indices; project_subset and preimage_subset convert between such masks
-and unions of H-cosets, and _lift turns one into an avoider of G.
+of G by a subgroup H is not a group here: class i is the coset whose minimum
+flat index is representatives[i] (ascending), and it keeps no table over G,
+only H's pivots (one generator per axis, read off H's bitset) and the
+minima as one |G|-bit int.  A set of classes is a plain int bitmask over
+class indices, and every map between masks and G is a _close over the
+pivots: preimage_subset closes the chosen minima, project_subset ranks
+S's minima and checks them through preimage_subset, and _lift adds every
+other coset minus its maximum, the maxima being the minima reflected by
+a -> g-1-a.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -157,82 +153,51 @@ class Group:
 
 
 class Quotient:
-    """Coset classes of base/modulus: the projection map and its transversal.
+    """Coset classes of base/modulus: H's pivots and the set of coset minima.
 
     Class indices follow transversal order: class i is the coset whose minimum
     flat index is representatives[i], and representatives are sorted ascending.
-    The quotient carries no group law of its own; sums are taken in the base
-    group and projected.
+    minima is the same set as a |G|-bit int.  pivots holds, for each axis k
+    with H_k != H_(k-1) (H_k being H inside the first k axes), the lowest
+    element of H_k outside H_(k-1); the pivots generate H.  The quotient
+    carries no group law of its own; sums are taken in the base group.
+
+    Flat indices order elements by their last nontrivial coordinate first.
+    H_k's last coordinates are the multiples of d, that of its pivot (m if
+    it has none), so the minimum of a coset of H_k has last coordinate t < d,
+    and below it the minimum of a coset of H_(k-1): axis by axis, the minima
+    are r + t*st over t < d and the minima r of the axes before, a box built
+    by shifting.
     """
 
-    __slots__ = ("base", "modulus", "projection", "representatives", "size")
+    __slots__ = ("base", "modulus", "pivots", "minima", "representatives", "size")
 
     def __init__(self, base: Group, modulus: "Subgroup"):
         if modulus.group != base:
             raise DomainMismatchError("modulus subgroup does not live in the base group")
         self.base = base
         self.modulus = modulus
-        h = modulus.order
-        if h == 1 or len(base.axes) <= 1:
-            # H is trivial or, in a cyclic group, the multiples of k = g/h:
-            # either way the class of a is a mod k, and no sums are needed.
-            self.size = k = base.size // h
-            self.representatives = tuple(range(k))
-            self.projection = self.representatives * h
-            return
-        reps, members = _class_minima(base, modulus.bits), _bit_indices(modulus.bits)
-        projection = [0] * base.size
-        if len(members) <= len(reps):  # one sum per member, across every class
-            for e in members:
-                for cls, b in enumerate(_sums(base, e, reps)):
-                    projection[b] = cls
-        else:  # one sum per class, across its members
-            for cls, a in enumerate(reps):
-                for b in _sums(base, a, members):
-                    projection[b] = cls
-        self.projection = tuple(projection)
+        pivots, minima = [], 1
+        for m, st in base.axes:
+            above = (modulus.bits & ((1 << st * m) - 1)) >> st  # H_k minus last coordinate 0
+            d = m
+            if above:
+                pivots.append((above & -above).bit_length() - 1 + st)
+                d = pivots[-1] // st
+            box, copies = minima, 1  # box holds copies of minima, st apart
+            while copies < d:
+                box |= box << copies * st
+                copies <<= 1
+            minima = box & ((1 << d * st) - 1)
+        self.pivots = tuple(pivots)
+        self.minima = minima
+        self.size = q = base.size // modulus.order
+        # With H trivial or G cyclic the minima are 0..q-1.
+        reps = range(q) if minima.bit_length() == q else _bit_indices(minima)
         self.representatives = tuple(reps)
-        self.size = len(reps)
 
     def __repr__(self) -> str:
         return f"Quotient(base={self.base!r}, classes={self.size})"
-
-
-def _class_minima(group: Group, subgroup_bits: int) -> list[int]:
-    """The smallest element of each coset of the subgroup H, ascending.
-
-    Flat indices order elements by their last nontrivial coordinate first.
-    Let G_k be the first k axes and H_k = H inside G_k.  H_k's last
-    coordinates are the multiples of d, the smallest positive one among them
-    (m if none), so the minimum of a coset of H_k has last coordinate t < d,
-    and below it the minimum of a coset of H_(k-1): axis by axis, the minima
-    are r + t*st over t < d and the minima r of the axes before.
-    """
-    reps = [0]
-    for m, st in group.axes:
-        above = (subgroup_bits & ((1 << st * m) - 1)) >> st  # H_k minus last coordinate 0
-        d = ((above & -above).bit_length() - 1) // st + 1 if above else m
-        reps = [r + t * st for t in range(d) for r in reps]
-    return reps
-
-
-def _sums(group: Group, a: int, elements: Sequence[int]) -> list[int]:
-    """[group.add(a, e) for e in elements], with no element checked.
-
-    One list comprehension per nontrivial axis, each adding that axis's
-    coordinate of a to the elements' and placing the sum at its stride.
-    """
-    axes = group.axes
-    if len(axes) <= 1:
-        g = group.size
-        return [(a + e) % g for e in elements]
-    m = axes[0][0]  # the first nontrivial axis has stride 1
-    c = a % m
-    out = [(c + e) % m for e in elements]
-    for m, st in axes[1:]:
-        c = a // st % m
-        out = [o + (c + e // st) % m * st for o, e in zip(out, elements)]
-    return out
 
 
 def _bit_indices(bits: int) -> list[int]:
@@ -435,63 +400,80 @@ def stabilizer(subset: GroupSubset) -> Subgroup:
 
 @lru_cache(maxsize=512)
 def quotient_view(group: Group, modulus: Subgroup) -> Quotient:
-    """Coset classes of group/modulus with projection and transversal maps."""
+    """Coset classes of group/modulus: pivots, minima and transversal."""
     return Quotient(group, modulus)
+
+
+def _ranks(view: Quotient, minima: int) -> int:
+    """Class-index mask of a set of coset minima: a minimum's class is its rank."""
+    if view.minima.bit_length() == view.size:  # the minima are 0..q-1
+        return minima
+    reps = view.representatives
+    digits = bytearray(b"0" * view.size)  # digits[cls] is class cls's bit
+    for a in _bit_indices(minima):
+        digits[bisect_left(reps, a)] = 49  # "1"
+    return int(digits[::-1], 2)
 
 
 def project_subset(subset: GroupSubset, view: Quotient) -> int:
     """Class-index mask of a union of modulus-cosets: bit i set iff class i is in it."""
     if subset.group != view.base:
         raise DomainMismatchError("subset does not live in the quotient's base group")
-    digits = bytearray(b"0" * view.size)  # digits[cls] is class cls's bit
-    for a in _bit_indices(subset.bits):
-        digits[view.projection[a]] = 49  # "1"
-    classes = int(digits[::-1], 2)
+    classes = _ranks(view, subset.bits & view.minima)
     if preimage_subset(classes, view).bits != subset.bits:
         raise NotCosetUnionError("subset is not a union of cosets of the modulus")
     return classes
 
 
 def preimage_subset(classes: int, view: Quotient) -> GroupSubset:
-    """Union of the base-group cosets whose class indices are set in the mask."""
+    """Union of the base-group cosets whose class indices are set in the mask.
+
+    The chosen minima, closed under the pivots: a set of coset minima plus H
+    is the union of their cosets.
+    """
     if not 0 <= classes < (1 << view.size):
         raise DomainMismatchError("class mask has bits outside the quotient's class indices")
-    chosen = format(classes, f"0{view.size}b")[::-1]  # chosen[cls] is class cls's bit
-    # Element a's digit is its class's digit: one string, converted once.
-    return GroupSubset(view.base, int("".join([chosen[c] for c in reversed(view.projection)]), 2))
+    grp = view.base
+    if view.minima.bit_length() == view.size:  # the minima are 0..q-1
+        chosen = classes
+    else:
+        reps = view.representatives
+        chosen = GroupSubset.from_indices(grp, [reps[c] for c in _bit_indices(classes)]).bits
+    return GroupSubset(grp, _close(grp, chosen, view.pivots))
 
 
 def _lift(view: Quotient, classes: int) -> GroupSubset:
-    """Full preimage of the chosen classes plus every other coset minus its max flat index."""
+    """Full preimage of the chosen classes plus every other coset minus its max flat index.
+
+    The maxima are the minima reflected by a -> g-1-a: in coordinates that is
+    x -> -1-x, which maps H-cosets onto H-cosets and reverses flat order, so
+    it reverses the bits of minima.
+    """
     g = view.base.size
-    chosen = format(classes, f"0{view.size}b")[::-1]  # chosen[cls] is class cls's bit
-    # One ASCII digit per element, converted once: clearing the maxima in a
-    # g-bit int would copy all g bits per coset.
-    top = {cls: a for a, cls in enumerate(view.projection)}  # ascending a: the max wins
-    digits = bytearray(b"1" * g)  # digits[a] is bit a
-    for cls, a in top.items():
-        if chosen[cls] == "0":
-            digits[a] = 48  # "0"
-    return GroupSubset(view.base, int(digits[::-1], 2))
+    maxima = int(format(view.minima, f"0{g}b")[::-1], 2)
+    return GroupSubset(view.base, ((1 << g) - 1) ^ maxima | preimage_subset(classes, view).bits)
 
 
-def subgroup_generated(group: Group, generators: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the generators, by kernel doubling.
+def _close(group: Group, bits: int, generators: Iterable[int]) -> int:
+    """bits + <generators>, by kernel doubling; generators are not checked.
 
-    With Y the subgroup so far, each generator t is taken by repeating
+    With Y the set so far, each generator t is taken by repeating
     bits |= (c*t + bits) for c = 1, 2, 4, ..., so bits = Y + {0..2c-1}*t,
     until a rotation adds nothing.  Then bits = Y + {0..c-1}*t is closed
     under c*t, so it holds Y + c*t and bits + t lies in bits: bits is
     Y + <t>.  A rotation that adds something doubles bits or completes
     Y + <t>, so t costs at most ceil(log2 |<t>|) + 1 rotations.
     """
-    gens = [group.check_element(t) for t in generators]
-    bits = 1  # the zero element
-    for t in gens:
+    for t in generators:
         while True:
             moved = next(_translates(GroupSubset(group, bits), [t]))
             if moved | bits == bits:
                 break
             bits |= moved
             t = group.add(t, t)
-    return Subgroup(group, bits)
+    return bits
+
+
+def subgroup_generated(group: Group, generators: Iterable[int]) -> Subgroup:
+    """Smallest subgroup containing the generators: {0} closed under them."""
+    return Subgroup(group, _close(group, 1, [group.check_element(t) for t in generators]))

@@ -440,6 +440,27 @@ def test_exact_n_coset_union_solves_on_the_quotient():
         assert result.nodes == quotient.nodes
 
 
+def test_exact_n_solves_over_the_core_elements_only(monkeypatch):
+    # Z2048 mod its order-64 subgroup: the core holds one maximum per coset
+    # of the 32 translates, so the solve's universe is 32 elements, not 2048,
+    # and the answer is the quotient's.
+    universes = []
+    solve = exact._solve_hitting_set
+
+    def recording(sets, universe, *args):
+        universes.append(universe)
+        assert all(b.bit_length() <= universe for b in sets)
+        return solve(sets, universe, *args)
+
+    monkeypatch.setattr(exact, "_solve_hitting_set", recording)
+    result = exact_N(coset_union(Group([2048]), 64, [0, 1, 3]))
+    monkeypatch.undo()
+    quotient = exact_N(GroupSubset.from_indices(Group([32]), [0, 1, 3]))
+    assert universes == [32]
+    assert result.n_value == 2048 - 32 + quotient.n_value
+    assert result.nodes == quotient.nodes
+
+
 # -- budgets --------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -21,7 +22,6 @@ from shiftfree.groups import (
     Quotient,
     Subgroup,
     _lift,
-    _sums,
     preimage_subset,
     project_subset,
     quotient_view,
@@ -449,7 +449,9 @@ def test_transversal_is_sorted_minimum_per_coset():
             assert list(reps) == sorted(reps)
             # Class i's first element is representatives[i]: each class's
             # minimum flat index, one per coset.
-            assert [view.projection.index(cls) for cls in range(view.size)] == list(reps)
+            cosets = class_preimages(view)
+            assert cosets == fibres(grp, sub)
+            assert [(b & -b).bit_length() - 1 for b in cosets] == list(reps)
 
 
 def test_quotient_anchors():
@@ -459,7 +461,7 @@ def test_quotient_anchors():
     z6 = Group([6])
     trivial = quotient_view(z6, subgroup_generated(z6, []))
     assert trivial.size == 6
-    assert trivial.projection == tuple(z6.elements())
+    assert class_preimages(trivial) == [1 << a for a in z6.elements()]
     assert quotient_view(z6, subgroup_generated(z6, [1])).size == 1
 
 
@@ -469,8 +471,9 @@ def test_quotient_fibers_have_subgroup_order():
         for gen in grp.elements():
             sub = subgroup_generated(grp, [gen])
             view = quotient_view(grp, sub)
-            for cls in range(view.size):
-                assert view.projection.count(cls) == sub.order
+            cosets = class_preimages(view)
+            assert cosets == fibres(grp, sub)
+            assert all(b.bit_count() == sub.order for b in cosets)
 
 
 def test_quotient_rejects_foreign_modulus():
@@ -536,6 +539,20 @@ def quotient_reference(grp: Group, sub: Subgroup) -> tuple[list[int], list[int]]
     return projection, reps
 
 
+def fibres(grp: Group, sub: Subgroup) -> list[int]:
+    """The bitset of each class of quotient_reference, in class order."""
+    projection, reps = quotient_reference(grp, sub)
+    out = [0] * len(reps)
+    for a, cls in enumerate(projection):
+        out[cls] |= 1 << a
+    return out
+
+
+def class_preimages(view: Quotient) -> list[int]:
+    """The bitset of each class under preimage_subset, in class order."""
+    return [preimage_subset(1 << cls, view).bits for cls in range(view.size)]
+
+
 def preimage_reference(projection: list[int], classes: int) -> int:
     bits = 0
     for a, cls in enumerate(projection):
@@ -574,7 +591,7 @@ def test_quotient_matches_reference_on_every_small_group():
             for sub in all_subgroups(grp):
                 view = quotient_view(grp, sub)
                 projection, reps = quotient_reference(grp, sub)
-                assert view.projection == tuple(projection)
+                assert class_preimages(view) == fibres(grp, sub)
                 assert view.representatives == tuple(reps)
                 top = (1 << view.size) - 1
                 if view.size <= 8:
@@ -591,20 +608,6 @@ def test_quotient_matches_reference_on_every_small_group():
                     )
 
 
-def test_sums_match_add_on_every_small_group():
-    # Every a, against every element in ascending and in shuffled order; the
-    # extra presentation wraps one in order-1 factors, which _sums skips.
-    rng = random.Random(29)
-    for n in range(1, 17):
-        for orders in presentations(n) + [[1] + presentations(n)[-1] + [1]]:
-            grp = Group(orders)
-            elements = list(grp.elements())
-            shuffled = rng.sample(elements, len(elements))
-            for a in grp.elements():
-                for es in (elements, shuffled, shuffled[: n // 2]):
-                    assert _sums(grp, a, es) == [grp.add(a, e) for e in es], (orders, a)
-
-
 def test_quotient_matches_reference_on_larger_products():
     # Class minima are built axis by axis; subgroups from one or two random
     # generators of products with up to three axes, some of them order 1.
@@ -614,7 +617,8 @@ def test_quotient_matches_reference_on_larger_products():
         for _ in range(12):
             sub = Subgroup(grp, closure_reference(grp, rng.sample(range(grp.size), rng.randint(1, 2))))
             view = Quotient(grp, sub)
-            assert (list(view.projection), list(view.representatives)) == quotient_reference(grp, sub)
+            assert class_preimages(view) == fibres(grp, sub)
+            assert list(view.representatives) == quotient_reference(grp, sub)[1]
 
 
 def test_quotient_makes_no_checked_add_calls(monkeypatch):
@@ -644,10 +648,10 @@ def test_quotient_by_a_small_subgroup_of_a_large_group_is_linear():
     assert time.perf_counter() - started < 0.3
 
 
-def lift_reference(view: Quotient, classes: int) -> int:
+def lift_reference(projection: list[int], classes: int) -> int:
     """_lift by clearing one bit at a time in the full int."""
-    top = {cls: a for a, cls in enumerate(view.projection)}
-    bits = (1 << view.base.size) - 1
+    top = {cls: a for a, cls in enumerate(projection)}  # ascending a: the max wins
+    bits = (1 << len(projection)) - 1
     for cls, a in top.items():
         if not (classes >> cls) & 1:
             bits ^= 1 << a
@@ -661,13 +665,50 @@ def test_lift_matches_reference_on_every_small_group():
             grp = Group(orders)
             for sub in all_subgroups(grp):
                 view = quotient_view(grp, sub)
+                projection, _ = quotient_reference(grp, sub)
                 top = (1 << view.size) - 1
                 if view.size <= 8:
                     masks = range(top + 1)
                 else:
                     masks = [0, top] + [rng.randrange(top + 1) for _ in range(64)]
                 for classes in masks:
-                    assert _lift(view, classes).bits == lift_reference(view, classes)
+                    assert _lift(view, classes).bits == lift_reference(projection, classes)
+
+
+def test_pivots_and_maxima_on_every_small_group():
+    # The pivots generate H, and the complement of _lift(view, 0), the
+    # reflected minima, holds exactly the maximum of each coset.
+    for n in range(1, 17):
+        for orders in presentations(n):
+            grp = Group(orders)
+            for sub in all_subgroups(grp):
+                view = quotient_view(grp, sub)
+                assert subgroup_generated(grp, view.pivots) == sub, (orders, sub)
+                maxima = 0
+                for b in fibres(grp, sub):
+                    maxima |= 1 << b.bit_length() - 1
+                assert _lift(view, 0).complement().bits == maxima, (orders, sub)
+
+
+@pytest.mark.parametrize("orders,gens", [([2**22], [32]), ([2, 2**21], [1, 128])])
+def test_quotient_maps_hold_no_table_of_the_group(orders, gens):
+    # q = 32 and q = 64 classes of a 2**22-element group: a g-entry table
+    # alone is 32 MiB, and the parent's maps peaked at about 70 MiB here.
+    grp = Group(orders)
+    sub = subgroup_generated(grp, gens)
+    tracemalloc.start()
+    try:
+        view = quotient_view(grp, sub)
+        assert view.size == 2**22 // sub.order
+        lifted = _lift(view, 0b101)
+        union = preimage_subset(0b1101, view)
+        assert project_subset(union, view) == 0b1101
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lifted.size == grp.size - view.size + 2
+    assert union.size == 3 * sub.order
+    assert peak < 16 * 2**20, peak
 
 
 def test_project_subset_rejects_non_coset_union():
