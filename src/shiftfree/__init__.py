@@ -36,9 +36,7 @@ from .errors import (
 )
 from .exact import (
     ExactResult,
-    TranslateFamily,
     exact_N,
-    min_hitting_set,
     translate_family,
 )
 from .groups import (
@@ -77,9 +75,7 @@ __all__ = [
     "construct_thm1",
     "construct_thm2",
     "search_avoider",
-    "TranslateFamily",
     "translate_family",
-    "min_hitting_set",
     "ExactResult",
     "exact_N",
     "ShiftfreeError",

@@ -6,9 +6,8 @@ of the family {g + S : g in T} with T a stabilizer transversal (translates
 repeat inside a stabilizer coset, so the transversal family is the whole
 family).  N is then |G| - tau + 1.
 
-The family comes from the rotation kernel groups._translates, one rotation
-per class; exact_N takes its bitsets straight from the kernel, with no
-GroupSubset per set.
+translate_family builds that family as bitsets, one rotation of the kernel
+groups._translates per class and no GroupSubset per set; exact_N solves it.
 
 exact_N reduces, solves, then lifts.  Reduce: every translate is a union of
 cosets of the stabilizer H, so a set hits it iff its image in G/H does:
@@ -64,15 +63,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, DomainMismatchError, EmptySetError
-from .groups import Group, GroupSubset, _bit_indices, _lift, _translates, quotient_view, stabilizer
+from .groups import GroupSubset, _bit_indices, _lift, _translates, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
     "verify_avoids",
     "certify",
-    "TranslateFamily",
     "translate_family",
-    "min_hitting_set",
     "ExactResult",
     "exact_N",
 ]
@@ -81,12 +78,11 @@ DEFAULT_MAX_ORDER = 40
 DEFAULT_BUDGET_MS = 10_000
 # Covered-set masks _solve_hitting_set remembers; 2**18 of them take about 20 MB.
 MEMO_MAX_ENTRIES = 2**18
-# Largest family _bandwidth_order tests pair by pair (n**2/2 overlap tests);
-# every family the solvers build has at most EXACT_FALLBACK_LIMIT = 64 sets.
-PAIRWISE_ORDER_MAX = 64
-# Most bit operations verify_avoids may spend, q * g for q translates of a
-# g-bit set: construct.MAX_SEARCH_ORDER * groups.MAX_GROUP_ORDER, so no
-# avoider search or hitting-set solve is refused by it.
+# Cap on q * g for q translates of a g-bit set, an upper bound on the bit
+# operations verify_avoids spends (it rotates min(|S|, q) times); it stays
+# q * g until the printed output is bounded.  It equals
+# construct.MAX_SEARCH_ORDER * groups.MAX_GROUP_ORDER, so no avoider search or
+# hitting-set solve is refused by it.
 MAX_VERIFY_WORK = 2**38
 
 
@@ -168,37 +164,12 @@ def certify(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
     return cert
 
 
-@dataclass(frozen=True)
-class TranslateFamily:
-    """The distinct translates of one pattern, indexed by transversal order.
-
-    Translation by G moves any element its sets cover onto any other, the
-    invariant min_hitting_set needs (see _solve_hitting_set).
-    """
-
-    universe_size: int
-    sets: tuple[GroupSubset, ...]
-
-    @property
-    def group(self) -> Group:
-        return self.sets[0].group
-
-
-def translate_family(pattern: GroupSubset) -> TranslateFamily:
-    """Family of all distinct translates, one per stabilizer-transversal element."""
+def translate_family(pattern: GroupSubset) -> tuple[int, ...]:
+    """Bitsets of all distinct translates, one per stabilizer-transversal element, in its order."""
     if pattern.bits == 0:
         raise EmptySetError("translate family needs a nonempty pattern")
-    grp = pattern.group
-    reps = quotient_view(grp, stabilizer(pattern)).representatives
-    sets = tuple(GroupSubset(grp, bits) for bits in _translates(pattern, reps))
-    return TranslateFamily(universe_size=grp.size, sets=sets)
-
-
-def min_hitting_set(family: TranslateFamily) -> tuple[int, GroupSubset]:
-    """Minimum-size subset of the universe meeting every family set."""
-    sets = [s.bits for s in family.sets]
-    size, bits, _ = _solve_hitting_set(sets, family.universe_size, None)
-    return size, GroupSubset(family.group, bits)
+    reps = quotient_view(pattern.group, stabilizer(pattern)).representatives
+    return tuple(_translates(pattern, reps))
 
 
 def _element_sets(set_bits: list[int], universe: int) -> list[int]:
@@ -239,7 +210,7 @@ def _greedy_hitting_set(elem_sets: list[int], n_sets: int) -> int:
     return picked
 
 
-def _bandwidth_order(set_bits: list[int], universe: int) -> list[int]:
+def _bandwidth_order(set_bits: list[int]) -> list[int]:
     """Cuthill-McKee order of the sets: breadth-first over their overlap graph.
 
     Cuthill-McKee starts each component at a peripheral set and takes new
@@ -247,27 +218,12 @@ def _bandwidth_order(set_bits: list[int], universe: int) -> list[int]:
     on the sets of each component (a translation moves any translate onto
     any other), so all of them share one degree and one eccentricity: the
     component's lowest set is peripheral, and neighbours go by index.  A
-    set's neighbours are the unplaced sets it overlaps, tested pair by pair
-    up to PAIRWISE_ORDER_MAX sets and found through the element masks above.
+    set's neighbours are the unplaced sets it overlaps, tested pair by pair:
+    every family solved here has at most 64 sets (exact_N's at most
+    DEFAULT_MAX_ORDER, construct's at most EXACT_FALLBACK_LIMIT), so that is
+    at most 2,016 overlap tests.
     """
     order: list[int] = []
-    if len(set_bits) > PAIRWISE_ORDER_MAX:
-        elem_sets = _element_sets(set_bits, universe)
-        placed = 0
-        for root in range(len(set_bits)):
-            if placed >> root & 1:
-                continue
-            placed |= 1 << root
-            queue = [root]
-            for j in queue:
-                fresh = 0
-                for e in _bit_indices(set_bits[j]):
-                    fresh |= elem_sets[e]
-                fresh &= ~placed
-                placed |= fresh
-                queue += _bit_indices(fresh)
-            order += queue
-        return order
     rest = list(range(len(set_bits)))  # the unplaced sets, ascending
     while rest:
         queue = [rest.pop(0)]
@@ -305,7 +261,7 @@ def _solve_hitting_set(
     n_sets = len(set_bits)
     all_covered = (1 << n_sets) - 1
 
-    set_bits = [set_bits[j] for j in _bandwidth_order(set_bits, universe)]
+    set_bits = [set_bits[j] for j in _bandwidth_order(set_bits)]
     elem_sets = _element_sets(set_bits, universe)
     candidates = [e for e in range(universe) if elem_sets[e]]  # the elements some set holds
     # Admissible pruning cap: no element hits more sets than this.  On a
@@ -406,7 +362,7 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
         # Each translate is one H-coset, hit by its one maximum.
         witness_bits, nodes = maxima, 0
     else:
-        family = list(_translates(pattern, view.representatives))
+        family = translate_family(pattern)
         # S's connected component, by overlap, is the K-coset s0 + K.
         block, prev = family[0], 0
         while block != prev:

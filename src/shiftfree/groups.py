@@ -7,9 +7,9 @@ The flat index is the canonical identity of an element; coordinate tuples are a
 view.  Subsets are arbitrary-precision ints used as bitsets, bit i = element i,
 which keeps compare/intersect at machine speed for the sizes the exact solver
 can reach.  _translates is the rotation kernel: it translates one subset by a
-list of shifts with one masked rotation per axis.  It builds the translate
-family in exact (translate_family and exact_N), serves verify_avoids and
-exact_N's lift, and _close adds a subgroup to a set by doubling:
+list of shifts with one masked rotation per axis.  It builds
+exact.translate_family, the one family exact_N solves, and serves
+verify_avoids and exact_N's lift; _close adds a subgroup to a set by doubling:
 subgroup_generated is {0} closed under its generators.
 from_indices sets its bits in a bytearray bitmap converted once.
 

@@ -1,8 +1,16 @@
-"""Exact solver: translate families, minimum hitting sets, and the naive oracle."""
+"""Exact solver: translate families, the hitting-set search on them, and exact_N.
+
+translate_family returns bitsets, and the search is the private
+exact._solve_hitting_set, so the hitting-set tests call it on a translate
+family, the only kind of family the search is sound on.  exact_N is checked
+against the naive oracle and against the unsplit solve.
+"""
 
 import itertools
 import random
+import sys
 import time
+import traceback
 
 import pytest
 
@@ -12,22 +20,20 @@ from shiftfree.bounds import bounds_report
 from shiftfree.cli import parse_group, parse_set
 from shiftfree.construct import construct_thm1, verify_avoids
 from shiftfree.errors import BudgetExceededError, EmptySetError
-from shiftfree.exact import (
-    DEFAULT_MAX_ORDER,
-    TranslateFamily,
-    exact_N,
-    min_hitting_set,
-    translate_family,
-)
+from shiftfree.exact import DEFAULT_MAX_ORDER, exact_N, translate_family
 from shiftfree.groups import Group, GroupSubset, _translates, stabilizer, subgroup_generated
 
 
-def brute_min_hitting_size(family: TranslateFamily) -> int:
-    sets = [set(s.indices()) for s in family.sets]
-    for k in range(family.universe_size + 1):
-        for combo in itertools.combinations(range(family.universe_size), k):
-            chosen = set(combo)
-            if all(chosen & s for s in sets):
+def solve_family(pattern: GroupSubset) -> tuple[int, int]:
+    """(size, bits) of a minimum hitting set of the pattern's translate family."""
+    return exact._solve_hitting_set(list(translate_family(pattern)), pattern.group.size, None)[:2]
+
+
+def brute_min_hitting_size(family: tuple[int, ...], universe: int) -> int:
+    for k in range(universe + 1):
+        for combo in itertools.combinations(range(universe), k):
+            chosen = sum(1 << a for a in combo)
+            if all(chosen & s for s in family):
                 return k
     raise AssertionError("the full universe always hits")
 
@@ -69,17 +75,15 @@ def test_translates_kernel_matches_translate_on_every_small_group():
 def test_translate_family_anchors():
     z6 = Group([6])
     fam = translate_family(GroupSubset.from_indices(z6, [0, 1]))
-    assert fam.universe_size == 6
-    assert len(fam.sets) == 6
-    assert [s.indices() for s in fam.sets[:3]] == [[0, 1], [1, 2], [2, 3]]
+    assert len(fam) == 6
+    assert fam[:3] == (0b11, 0b110, 0b1100)
 
     z4 = Group([4])
     fam = translate_family(GroupSubset.from_indices(z4, [0, 2]))
-    assert [s.indices() for s in fam.sets] == [[0, 2], [1, 3]]
+    assert fam == (0b101, 0b1010)
 
     whole = translate_family(GroupSubset.full(z4))
-    assert len(whole.sets) == 1
-    assert whole.sets[0].size == 4
+    assert whole == (0b1111,)
 
 
 def test_translate_family_regularity():
@@ -91,7 +95,7 @@ def test_translate_family_regularity():
             pattern = GroupSubset(grp, rng.randrange(1, 1 << grp.size))
             fam = translate_family(pattern)
             for a in grp.elements():
-                hits = sum(1 for s in fam.sets if a in s)
+                hits = sum(s >> a & 1 for s in fam)
                 assert hits == pattern.size // stabilizer(pattern).order
 
 
@@ -105,39 +109,48 @@ def test_translate_family_rejects_empty():
 
 def test_min_hitting_set_anchors():
     z6 = Group([6])
-    size, witness = min_hitting_set(translate_family(GroupSubset.from_indices(z6, [0, 1])))
+    size, witness = solve_family(GroupSubset.from_indices(z6, [0, 1]))
     assert size == 3
-    assert witness.size == 3
+    assert witness.bit_count() == 3
 
     z4 = Group([4])
-    size, witness = min_hitting_set(translate_family(GroupSubset.from_indices(z4, [0, 2])))
+    size, witness = solve_family(GroupSubset.from_indices(z4, [0, 2]))
     assert size == 2  # the two translates are disjoint
 
-    single = translate_family(GroupSubset.full(z6))
-    assert min_hitting_set(single)[0] == 1
+    assert solve_family(GroupSubset.full(z6))[0] == 1
 
 
 def test_min_hitting_set_refuses_an_empty_set():
     # Nothing hits the empty set: the greedy incumbent used to loop forever
     # on the first family and reach max() of no candidates on the second.
-    z4 = Group([4])
-    empty = GroupSubset.empty(z4)
-    for sets in ((GroupSubset.from_indices(z4, [0, 1]), empty), (empty, empty)):
+    for sets in ([0b11, 0], [0, 0]):
         with pytest.raises(EmptySetError):
-            min_hitting_set(TranslateFamily(4, sets))
+            exact._solve_hitting_set(sets, 4, None)
 
 
 def test_min_hitting_set_too_deep_is_a_budget_error():
-    # The depth-first search recurses once per chosen element: a long cycle
-    # of translates outruns Python's recursion limit, and that is a named
-    # budget refusal (exit 3), not a RecursionError.
-    z4096 = Group([4096])
+    # The depth-first search recurses once per chosen element: a search that
+    # outruns Python's recursion limit is a named budget refusal (exit 3), not
+    # a RecursionError.  The limit is lowered to 16 frames above the solve's
+    # caller, room for the solver's setup but not for Z64 {0,1,3}'s search
+    # (tau = 26 against a greedy 32), and restored before pytest checks.
+    z64 = Group([64])
+
+    def solve_near_the_limit(indices: list[int]) -> int:
+        sets = list(translate_family(GroupSubset.from_indices(z64, indices)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 16)
+        try:
+            return exact._solve_hitting_set(sets, 64, None)[0]
+        finally:
+            sys.setrecursionlimit(limit)
+
     started = time.monotonic()
     with pytest.raises(BudgetExceededError, match="recursion limit"):
-        min_hitting_set(translate_family(GroupSubset.from_indices(z4096, [0, 1, 3])))
+        solve_near_the_limit([0, 1, 3])
     assert time.monotonic() - started < 1.0
     # Where the greedy incumbent is already optimal the search stays shallow.
-    assert min_hitting_set(translate_family(GroupSubset.from_indices(z4096, [0, 1])))[0] == 2048
+    assert solve_near_the_limit([0, 1]) == 32
 
 
 def test_min_hitting_set_witness_hits_every_set():
@@ -145,11 +158,11 @@ def test_min_hitting_set_witness_hits_every_set():
     for orders in ([7], [9], [2, 5], [3, 3]):
         grp = Group(orders)
         for _ in range(15):
-            fam = translate_family(GroupSubset(grp, rng.randrange(1, 1 << grp.size)))
-            size, witness = min_hitting_set(fam)
-            assert witness.size == size
-            for s in fam.sets:
-                assert witness.bits & s.bits
+            pattern = GroupSubset(grp, rng.randrange(1, 1 << grp.size))
+            size, witness = solve_family(pattern)
+            assert witness.bit_count() == size
+            for s in translate_family(pattern):
+                assert witness & s
 
 
 def test_min_hitting_set_matches_brute_force():
@@ -157,8 +170,9 @@ def test_min_hitting_set_matches_brute_force():
     for orders in ([6], [8], [9], [2, 4], [10], [2, 5]):
         grp = Group(orders)
         for _ in range(12):
-            fam = translate_family(GroupSubset(grp, rng.randrange(1, 1 << grp.size)))
-            assert min_hitting_set(fam)[0] == brute_min_hitting_size(fam)
+            pattern = GroupSubset(grp, rng.randrange(1, 1 << grp.size))
+            assert solve_family(pattern)[0] == brute_min_hitting_size(
+                translate_family(pattern), grp.size)
 
 
 def test_limited_solve_fits_the_limit_exactly_when_the_minimum_does():
@@ -168,12 +182,11 @@ def test_limited_solve_fits_the_limit_exactly_when_the_minimum_does():
     for orders in ([6], [8], [9], [2, 4], [10], [2, 5], [3, 3]):
         grp = Group(orders)
         for _ in range(8):
-            fam = translate_family(GroupSubset(grp, rng.randrange(1, 1 << grp.size)))
-            sets = [s.bits for s in fam.sets]
-            tau = brute_min_hitting_size(fam)
+            sets = list(translate_family(GroupSubset(grp, rng.randrange(1, 1 << grp.size))))
+            tau = brute_min_hitting_size(sets, grp.size)
             for limit in range(tau + 2):
                 size, bits, _ = exact._solve_hitting_set(sets, grp.size, None, limit)
-                assert (size <= limit) == (tau <= limit), (fam, limit)
+                assert (size <= limit) == (tau <= limit), (sets, limit)
                 if size <= limit:
                     assert bits.bit_count() == size
                     assert all(bits & s for s in sets)
@@ -199,7 +212,7 @@ def test_greedy_hitting_set_matches_rescan_exhaustive(monkeypatch):
     # _greedy_hitting_set scans each gain level in one ascending pass; it must
     # pick exactly what a full rescan per pick does, or exact_N's incumbent,
     # and with it its node count, moves.  Every greedy input that
-    # min_hitting_set and exact_N produce on one pattern per translation orbit
+    # the whole-family solve and exact_N produce on one pattern per translation orbit
     # in every group of order <= 12: whole translate families, and the masked
     # K-coset cores exact_N solves.
     inputs = []
@@ -218,7 +231,7 @@ def test_greedy_hitting_set_matches_rescan_exhaustive(monkeypatch):
                 continue
             pattern = GroupSubset(grp, bits)
             seen.update(pattern.translate(t).bits for t in range(grp.size))
-            for solve in (lambda: min_hitting_set(translate_family(pattern)),
+            for solve in (lambda: solve_family(pattern),
                           lambda: exact_N(pattern)):
                 try:
                     solve()
@@ -229,8 +242,8 @@ def test_greedy_hitting_set_matches_rescan_exhaustive(monkeypatch):
         assert greedy(elem_sets, n_sets) == rescan_greedy(elem_sets, n_sets), elem_sets
 
 def test_min_hitting_set_is_deterministic():
-    fam = translate_family(GroupSubset.from_indices(Group([12]), [0, 2, 3]))
-    assert min_hitting_set(fam) == min_hitting_set(fam)
+    pattern = GroupSubset.from_indices(Group([12]), [0, 2, 3])
+    assert solve_family(pattern) == solve_family(pattern)
 
 
 # -- exact threshold ------------------------------------------------------------
@@ -414,7 +427,7 @@ def test_exact_n_split_on_the_difference_subgroup_matches_unsplit_solver():
                     pattern = GroupSubset(grp, bits)
                     seen.update(pattern.translate(t).bits for t in grp.elements())
                     result = exact_N(pattern)
-                    tau = min_hitting_set(translate_family(pattern))[0]
+                    tau = solve_family(pattern)[0]
                     assert grp.size - result.max_avoider.size == tau, pattern
                     assert verify_avoids(result.max_avoider, pattern).verified, pattern
                     checked += 1
@@ -459,6 +472,25 @@ def test_exact_n_solves_over_the_core_elements_only(monkeypatch):
     assert universes == [32]
     assert result.n_value == 2048 - 32 + quotient.n_value
     assert result.nodes == quotient.nodes
+
+
+def test_exact_n_builds_its_family_through_translate_family(monkeypatch):
+    # One family builder: exact_N asks translate_family for the translates
+    # once when it searches, and not at all for a single coset.
+    calls = []
+    build = exact.translate_family
+
+    def recording(pattern):
+        calls.append(pattern)
+        return build(pattern)
+
+    monkeypatch.setattr(exact, "translate_family", recording)
+    pattern = coset_union(Group([12]), 2, [0, 1, 3])
+    assert exact_N(pattern).n_value == naive_exact(pattern)
+    assert calls == [pattern]
+    calls.clear()
+    assert exact_N(coset_union(Group([12]), 4, [0])).n_value == 10
+    assert calls == []
 
 
 # -- budgets --------------------------------------------------------------------
