@@ -2,9 +2,9 @@
 
 An avoiding set for a pattern S is a subset containing no translate g + S.
 Everything returned here is a Certificate from exact.certify: an actual
-verify_avoids pass, which rotates the smaller of the candidate and the
-pattern, never the construction's own bookkeeping.  Certificate and
-verify_avoids live in exact and are re-exported here.
+verify_avoids pass, which rotates the H-cosets inside the candidate once
+per H-coset in S, never the construction's own bookkeeping.  Certificate
+and verify_avoids live in exact and are re-exported here.
 
 There is one avoider builder, search_avoider.  With H the pattern's
 stabilizer and q = |G/H|, an avoider of S/H in G/H lifts to one of g - q more

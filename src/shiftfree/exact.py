@@ -52,8 +52,8 @@ verify_avoids is the only test of a candidate against the pattern's
 translates.  Every avoiding set the library builds, here and in construct,
 passes through certify, which calls it and treats a failure as a bug: a
 returned avoider is re-verified, never trusted from its construction.  It
-rotates the smaller side, the candidate once per element of S or S once per
-class of G/H, so it costs min(|S|, |G/H|) rotations of a |G|-bit set.
+costs at most |S/H| <= min(|S|, |G/H|) rotations of a |G|-bit set, plus
+ceil(log2 |<p>|) + 1 for each pivot p of H (see verify_avoids).
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, DomainMismatchError, EmptySetError
-from .groups import GroupSubset, _bit_indices, _lift, _translates, quotient_view, stabilizer
+from .groups import GroupSubset, _bit_indices, _close, _lift, _translates
+from .groups import quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -79,8 +80,8 @@ DEFAULT_BUDGET_MS = 10_000
 # Covered-set masks _solve_hitting_set remembers; 2**18 of them take about 20 MB.
 MEMO_MAX_ENTRIES = 2**18
 # Cap on q * g for q translates of a g-bit set, an upper bound on the bit
-# operations verify_avoids spends (it rotates min(|S|, q) times); it stays
-# q * g until the printed output is bounded.  It equals
+# operations verify_avoids spends (min(|S|, q) rotations plus a few per
+# pivot of H); it stays q * g until the printed output is bounded.  It equals
 # construct.MAX_SEARCH_ORDER * groups.MAX_GROUP_ORDER, so no avoider search or
 # hitting-set solve is refused by it.
 MAX_VERIFY_WORK = 2**38
@@ -120,16 +121,16 @@ def _check_verify_work(g: int, h: int) -> None:
 def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
     """Check that no translate of pattern lies inside candidate.
 
-    It rotates whichever side is smaller, with H the pattern's stabilizer,
-    s = |S| and q = |G/H|.  When s <= q, t + S lies inside C iff t lies in
-    C - x for every x in S, so it intersects the s translates C - x.  That
-    intersection is a union of H-cosets (t + h + S = t + S), so its lowest
-    element is the smallest transversal element whose translate fits, and
-    no quotient is built.  Otherwise it translates S by each transversal
-    element: translating by a stabilizer element reproduces the same set, so
-    the transversal covers every distinct translate.  Either way it costs
-    min(s, q) rotations of a g-bit set.  Above q*g = MAX_VERIFY_WORK it raises
-    BudgetExceededError before it translates anything.
+    With H the pattern's stabilizer, every translate t + S is a union of
+    H-cosets, so it fits in C iff it fits in C's H-interior, the H-cosets C
+    holds whole: G minus the complement of C closed under H's pivots.  The
+    interior is H-periodic, so t + S fits iff t + x lies in it for each of
+    the k = |S/H| coset minima x of S: the fitting t are the intersection of
+    the translates interior - x, a union of H-cosets whose lowest element is
+    the smallest transversal element whose translate fits.  That is at most
+    k <= min(|S|, |G/H|) rotations of a g-bit set, stopping once the
+    intersection is empty, plus ceil(log2 |<p>|) + 1 per pivot p.  Above
+    q*g = MAX_VERIFY_WORK it raises BudgetExceededError before it translates.
     """
     if candidate.group != pattern.group:
         raise DomainMismatchError("candidate and pattern live in different groups")
@@ -138,20 +139,16 @@ def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
     grp = pattern.group
     sub = stabilizer(pattern)
     _check_verify_work(grp.size, sub.order)
-    if pattern.size <= grp.size // sub.order:
-        neg = grp.neg
-        fits = -1  # every t, before any x is checked
-        for shifted in _translates(candidate, [neg(x) for x in pattern.indices()]):
-            fits &= shifted
-            if not fits:
-                return Certificate(candidate, pattern, witness=None)
-        return Certificate(candidate, pattern, witness=(fits & -fits).bit_length() - 1)
-    reps = quotient_view(grp, sub).representatives
-    outside = candidate.complement().bits
-    for t, bits in zip(reps, _translates(pattern, reps)):
-        if bits & outside == 0:
-            return Certificate(candidate, pattern, witness=t)
-    return Certificate(candidate, pattern, witness=None)
+    view = quotient_view(grp, sub)
+    full = (1 << grp.size) - 1
+    inside = GroupSubset(grp, full ^ _close(grp, full ^ candidate.bits, view.pivots))
+    neg = grp.neg
+    fits = -1  # every t, before any x is checked
+    for shifted in _translates(inside, [neg(x) for x in _bit_indices(pattern.bits & view.minima)]):
+        fits &= shifted
+        if not fits:
+            return Certificate(candidate, pattern, witness=None)
+    return Certificate(candidate, pattern, witness=(fits & -fits).bit_length() - 1)
 
 
 def certify(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:

@@ -26,12 +26,13 @@ Only a Group has a group law, and every GroupSubset lives in one.  A Quotient
 of G by a subgroup H is not a group here: class i is the coset whose minimum
 flat index is representatives[i] (ascending), and it keeps no table over G,
 only H's pivots (one generator per axis, read off H's bitset) and the
-minima as one |G|-bit int.  A set of classes is a plain int bitmask over
-class indices, and every map between masks and G is a _close over the
-pivots: preimage_subset closes the chosen minima, project_subset ranks
-S's minima and checks them through preimage_subset, and _lift adds every
-other coset minus its maximum, the maxima being the minima reflected by
-a -> g-1-a.
+minima as one |G|-bit int; representatives is range(q) when the minima are
+0..q-1 (G cyclic or H trivial), a tuple only otherwise.  A set of classes
+is a plain int bitmask over class indices, and every map between masks and
+G is a _close over the pivots: preimage_subset closes the chosen minima,
+project_subset ranks S's minima and checks them through preimage_subset,
+and _lift adds every other coset minus its maximum, the maxima being the
+minima reflected by a -> g-1-a.
 """
 
 from __future__ import annotations
@@ -156,11 +157,12 @@ class Quotient:
     """Coset classes of base/modulus: H's pivots and the set of coset minima.
 
     Class indices follow transversal order: class i is the coset whose minimum
-    flat index is representatives[i], and representatives are sorted ascending.
-    minima is the same set as a |G|-bit int.  pivots holds, for each axis k
-    with H_k != H_(k-1) (H_k being H inside the first k axes), the lowest
-    element of H_k outside H_(k-1); the pivots generate H.  The quotient
-    carries no group law of its own; sums are taken in the base group.
+    flat index is representatives[i], sorted ascending: range(q) when the
+    minima are 0..q-1, else a tuple.  minima is the same set as a |G|-bit int.
+    pivots holds, for each axis k with H_k != H_(k-1) (H_k being H inside the
+    first k axes), the lowest element of H_k outside H_(k-1); the pivots
+    generate H.  The quotient carries no group law of its own; sums are
+    taken in the base group.
 
     Flat indices order elements by their last nontrivial coordinate first.
     H_k's last coordinates are the multiples of d, that of its pivot (m if
@@ -192,9 +194,9 @@ class Quotient:
         self.pivots = tuple(pivots)
         self.minima = minima
         self.size = q = base.size // modulus.order
-        # With H trivial or G cyclic the minima are 0..q-1.
-        reps = range(q) if minima.bit_length() == q else _bit_indices(minima)
-        self.representatives = tuple(reps)
+        # With H trivial or G cyclic the minima are 0..q-1, kept as a range.
+        dense = minima.bit_length() == q
+        self.representatives = range(q) if dense else tuple(_bit_indices(minima))
 
     def __repr__(self) -> str:
         return f"Quotient(base={self.base!r}, classes={self.size})"
@@ -384,15 +386,13 @@ def stabilizer(subset: GroupSubset) -> Subgroup:
         m = mask.bit_count()
         if g % m or s % m:
             continue
-        gens: list[int] = []
         closure = 1
         while closure != mask:
             rest = mask & ~closure
             h = (rest & -rest).bit_length() - 1
             if next(_translates(subset, [h])) != bits:
                 break
-            gens.append(h)
-            closure = subgroup_generated(grp, gens).bits
+            closure = _close(grp, closure, [h])
         else:
             break
     return Subgroup(grp, mask)

@@ -9,6 +9,10 @@ validate_subgroup is the exhaustive closure check for a Subgroup: the
 constructors in shiftfree only ever build closed sets, and this is what
 tests hold them to.
 
+closure_reference and all_subgroups build subgroups one element at a time,
+with no kernel rotation, so tests can enumerate every subgroup of a small
+group independently of subgroup_generated.
+
 proposition_check and proposition_margin_grid check the real-valued
 inequality behind thm2_lower >= lemma_lower numerically, pointwise and on
 dense grids; it has no symbolic proof here.  For g >= h >= 1 and s >= 1:
@@ -40,6 +44,33 @@ def presentations(n: int) -> list[list[int]]:
         if n % f == 0:
             out += [[f] + rest for rest in presentations(n // f)]
     return out
+
+
+def closure_reference(grp: Group, gens: list[int]) -> int:
+    """subgroup_generated's bits by closure iteration, one element at a time."""
+    bits, frontier = 1, [0]
+    while frontier:
+        a = frontier.pop()
+        for t in gens:
+            b = grp.add(a, t)
+            if not (bits >> b) & 1:
+                bits |= 1 << b
+                frontier.append(b)
+    return bits
+
+
+def all_subgroups(grp: Group) -> list[Subgroup]:
+    """Every subgroup, by closing each one found under one more element."""
+    found = {1}
+    frontier = [[]]  # generators of each subgroup found
+    while frontier:
+        gens = frontier.pop()
+        for a in grp.elements():
+            bits = closure_reference(grp, gens + [a])
+            if bits not in found:
+                found.add(bits)
+                frontier.append(gens + [a])
+    return [Subgroup(grp, bits) for bits in sorted(found)]
 
 
 def coset_union(group: Group, generator: int, reps: list[int]) -> GroupSubset:

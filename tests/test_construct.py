@@ -3,13 +3,14 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import coset_union, naive_exact, presentations
+from oracles import all_subgroups, coset_union, naive_exact, presentations
 from shiftfree import construct
 from shiftfree.bounds import ceil_root_power, lemma_lower, thm2_lower
 from shiftfree.construct import (
@@ -130,28 +131,81 @@ def test_verify_avoids_agrees_with_naive_check():
             assert verify_avoids(candidate, pattern).verified == expect
 
 
+def periodic_patterns(grp: Group) -> set[int]:
+    """Every nonempty union of cosets of a nontrivial subgroup, as bitsets."""
+    out = set()
+    for sub in all_subgroups(grp)[1:]:
+        coset = GroupSubset(grp, sub.bits)
+        cosets = sorted({coset.translate(a).bits for a in grp.elements()})
+        for pick in range(1, 1 << len(cosets)):
+            out.add(sum(c for i, c in enumerate(cosets) if pick >> i & 1))
+    return out
+
+
 def test_verify_avoids_witness_matches_per_element_scan():
-    # verify_avoids intersects the s translates C - x when s <= q = |G/H| and
-    # translates S by each of the q classes otherwise.  Both must name the
-    # smallest transversal element whose translate fits, on every group of
-    # order <= 12: every pattern up to order 8, sampled above.
+    # verify_avoids keeps the H-cosets inside C and intersects their
+    # translates by minus each coset minimum of S.  It must name the smallest
+    # element whose translate fits, found here by translating S one element
+    # at a time.  Inputs: every pattern on groups of order <= 8, sampled ones
+    # up to order 12, and every pattern with a nontrivial stabilizer on every
+    # group of order <= 16, the only patterns whose H-interior of C can differ
+    # from C; each against non-periodic candidates.  branches records whether
+    # |S| <= |G/H|, so both regimes stay covered.
     rng = random.Random(23)
+
+    def check(pattern: GroupSubset) -> bool:
+        grp = pattern.group
+        g = grp.size
+        full = (1 << g) - 1
+        fit_masks = [pattern.translate(t).bits for t in range(g)]
+        noise = rng.randrange(1 << g)
+        fitting = noise | fit_masks[rng.randrange(g)]
+        for cbits in (noise, fitting, full, full ^ 1 << (g - 1), full ^ 1 << rng.randrange(g)):
+            want = next((t for t in range(g) if fit_masks[t] & ~cbits == 0), None)
+            got = verify_avoids(GroupSubset(grp, cbits), pattern).witness
+            assert got == want, (grp.orders, pattern.bits, cbits)
+        return pattern.size <= g // stabilizer(pattern).order
+
     for orders in ORDERS_UP_TO_10 + [[11], [12], [2, 6], [3, 4], [2, 2, 3]]:
         grp = Group(orders)
         g = grp.size
-        full = (1 << g) - 1
         patterns = range(1, 1 << g) if g <= 8 else [rng.randrange(1, 1 << g) for _ in range(300)]
-        branches = set()
-        for pbits in list(patterns) + [full]:
-            pattern = GroupSubset(grp, pbits)
-            fit_masks = [pattern.translate(t).bits for t in range(g)]
-            noise = rng.randrange(1 << g)
-            for cbits in (noise, noise | fit_masks[rng.randrange(g)], full, full ^ 1 << (g - 1)):
-                cand = GroupSubset(grp, cbits)
-                want = next((t for t in range(g) if fit_masks[t] & ~cbits == 0), None)
-                assert verify_avoids(cand, pattern).witness == want, (orders, pbits, cbits)
-            branches.add(pattern.size <= g // stabilizer(pattern).order)
+        branches = {check(GroupSubset(grp, pbits)) for pbits in list(patterns) + [(1 << g) - 1]}
         assert branches == ({True} if g == 1 else {True, False}), orders
+
+    branches, count = set(), 0
+    for n in range(2, 17):
+        for orders in presentations(n):
+            grp = Group(orders)
+            for pbits in periodic_patterns(grp):
+                branches.add(check(GroupSubset(grp, pbits)))
+                count += 1
+    assert branches == {True, False}
+    assert count == 12304, count
+
+
+def traced_peak(call):
+    """(call(), peak traced bytes during it), from empty stabilizer and quotient caches."""
+    stabilizer.cache_clear()
+    quotient_view.cache_clear()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verifier_memory_stays_flat_in_the_group_order():
+    # A pattern with a trivial stabilizer in a cyclic group has q = g classes,
+    # and its quotient keeps them as a range: a q-entry tuple of ints would
+    # take about 10 MiB at g = 2**18.
+    z18, z19 = Group([2**18]), Group([2**19])
+    pair = GroupSubset.from_indices(z18, [0, 1])
+    cert, peak = traced_peak(lambda: construct_thm1(pair))
+    assert cert.verified and peak < 2 * 2**20, peak
+    pair, single = GroupSubset.from_indices(z19, [0, 1]), GroupSubset.from_indices(z19, [0])
+    cert, peak = traced_peak(lambda: verify_avoids(single, pair))
+    assert cert.verified and peak < 2 * 2**20, peak
 
 
 # -- punctured-coset construction ---------------------------------------------
