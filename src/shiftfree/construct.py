@@ -18,10 +18,11 @@ always reaches, so it never draws from the seed.
 from __future__ import annotations
 
 import random
+import time
 
 from .bounds import thm2_lower
 from .errors import BudgetExceededError, EmptySetError, SearchExhaustedError
-from .exact import Certificate, certify, verify_avoids
+from .exact import DEFAULT_BUDGET_MS, Certificate, certify, verify_avoids
 from .exact import _check_verify_work, _element_sets, _greedy_hitting_set, _solve_hitting_set
 from .groups import Group, GroupSubset, _bit_indices, _close, _lift, _ranks, _translates
 from .groups import quotient_view, stabilizer
@@ -84,8 +85,9 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     target_size elements when there are more.
     A translate of the pattern is a union of H-cosets, so it fits in the lift
     only if all its classes were found.  A quotient above MAX_SEARCH_ORDER
-    raises BudgetExceededError before it is built.  SearchExhaustedError
-    means every phase failed, which proves no such avoider exists when
+    raises BudgetExceededError before it is built, and so does an exact
+    phase past exact.DEFAULT_BUDGET_MS.  SearchExhaustedError means every
+    phase ran and failed, which proves no such avoider exists when
     q <= EXACT_FALLBACK_LIMIT.  The result is a pure function of seed, and
     does not depend on it when q <= EXACT_FALLBACK_LIMIT.
     """
@@ -126,7 +128,8 @@ def _search(elem_masks: list[int], target: int, seed: int) -> int:
     elem_masks[c] masks the translates, q of them, that hold element c.  The
     greedy hitting set's complement comes first.  When it is too small, the
     masks are transposed to one per translate.  With q <= EXACT_FALLBACK_LIMIT
-    an exact hitting-set solve bounded by q - target then answers; larger
+    an exact hitting-set solve bounded by q - target (and by time, as in
+    exact_N) then answers; larger
     quotients get uniform random subsets and local repair of the last
     sample, the only steps that draw from the seed.  Surplus elements are
     trimmed from the top.
@@ -139,7 +142,8 @@ def _search(elem_masks: list[int], target: int, seed: int) -> int:
     masks = _element_sets(elem_masks, q)
     if q <= EXACT_FALLBACK_LIMIT:
         # B avoids every translate iff its complement hits every translate.
-        size, hitting, _ = _solve_hitting_set(masks, q, None, q - target)
+        deadline = time.monotonic_ns() + DEFAULT_BUDGET_MS * 1_000_000
+        size, hitting, _ = _solve_hitting_set(masks, q, deadline, q - target)
         return _lowest(full ^ hitting, target) if size <= q - target else -1
 
     def violation(bits: int) -> int:

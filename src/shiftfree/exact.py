@@ -11,23 +11,24 @@ groups._translates per class and no GroupSubset per set; exact_N solves it.
 
 exact_N reduces, solves, then lifts.  Reduce: every translate is a union of
 cosets of the stabilizer H, so a set hits it iff its image in G/H does:
-N(G, S) = g - g/h + N(G/H, S/H).  Every family set is masked to one element
-per H-coset (its max flat index, the one construct_thm1 punctures), so the
-search has at most |G/H| candidates and the order cap applies to |G/H|.  A
-single coset of H needs no search: every translate is one coset, hit by its
-one maximum.  Each translate t + S also lies in one coset of the difference
-subgroup K = <S - S> (K contains H), and translates overlap only inside one,
-so the family is [G:K] disjoint translated copies of the translates inside
-s0 + K.  That coset is the connected component of S itself, found by ORing
-overlapping family sets.  Solve: the search runs on that component's
-masked sets alone, their elements relabelled by rank in ascending order, so
-each of its passes covers at most |K/H| candidates, not G.  Lift: the
-witness is translated onto every other K-coset by the first family
-element's shift there, so tau(G, S) = [G:K] tau(K, S - s0).
+N(G, S) = g - g/h + N(G/H, S/H).  Every family set is read as its mask of
+G/H classes, class i being the coset whose minimum has rank i (as in
+groups.Quotient), so the search has at most |G/H| candidates and the order
+cap applies to |G/H|.  A single coset of H needs no search: every translate
+is one class, so every class is hit.  Each translate t + S also lies in one
+coset of the difference subgroup K = <S - S> (K contains H), and
+translates overlap only inside one, so the family is [G:K] disjoint
+translated copies of the translates inside s0 + K.  That coset is the
+connected component of S itself, found by ORing overlapping class masks.
+Solve: the search runs on that component's masks alone, so each of its
+passes covers at most |K/H| candidates, not G.  Lift: the witness is the
+maximum of each hit class's coset (the elements _lift leaves out), and it
+is translated onto every other K-coset by the first family element's shift
+there, so tau(G, S) = [G:K] tau(K, S - s0).
 
 The solver is a memoized frontier search: greedy incumbent first, then a
 depth-first search that always branches on the first uncovered set, over
-all of its elements in ascending flat order, with the admissible bound
+all of its elements in ascending order, with the admissible bound
 ceil(uncovered / max_sets_per_element).  Every element of G lies in exactly
 |S|/|H| family sets, which makes that bound exact to compute.  The sets are
 first put in Cuthill-McKee order (Cuthill and McKee, 1969), breadth-first
@@ -39,14 +40,14 @@ search behaves like a transfer-matrix dynamic program over that band.  The
 table is bounded (MEMO_MAX_ENTRIES); once full it stops growing, and the
 search stays exact with less pruning.
 
-The search starts with the lowest candidate element z already chosen.  Every
-family solved here is closed under a group of symmetries that moves any
-candidate onto any other: G acts on its translate family, and K/H acts on
-the masked component through the coset <-> maximum bijection.  A symmetry
-maps a hitting set to a hitting set of the same size, so whenever one of
-some size exists, one of that size contains z.  The search below z is
-therefore complete, for the minimum and for a size limit alike, and the
-root's equivalent branches are not searched again.
+The search starts with the lowest candidate element z already chosen.
+Every family solved here is closed under a group of symmetries that moves
+any candidate onto any other: G acts on its translate family, and K/H on
+the classes of the component.  A symmetry maps a hitting set to a hitting
+set of the same size, so whenever one of some size exists, one of that size
+contains z.  The search below z is therefore complete, for the minimum and
+for a size limit alike, and the root's equivalent branches are not searched
+again.
 
 verify_avoids is the only test of a candidate against the pattern's
 translates.  Every avoiding set the library builds, here and in construct,
@@ -63,8 +64,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, DomainMismatchError, EmptySetError
-from .groups import GroupSubset, _bit_indices, _close, _lift, _translates
-from .groups import quotient_view, stabilizer
+from .groups import GroupSubset, _bit_indices, _close, _lift, _rotation, _translates
+from .groups import _ranks, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -241,15 +242,16 @@ def _solve_hitting_set(
 ) -> tuple[int, int, int]:
     """(size, bits, nodes) of a minimum hitting set of the masks over elements [0, universe).
 
-    With a limit, stop at the first hitting set of size <= limit instead of
-    proving a minimum; a returned size above limit means none exists.  Some
-    group of symmetries of the masks must act transitively on the elements
-    they cover (G, G/H or K/H here), or the result can exceed the minimum.
-    nodes counts the search nodes expanded; the search is the module
-    docstring's memoized frontier search, from _greedy_hitting_set's
-    incumbent.  Past deadline, a time.monotonic_ns() reading, or deeper than
-    Python's recursion limit, it raises BudgetExceededError.  An empty mask,
-    which nothing can hit, raises EmptySetError.
+    The elements are G/H class indices from exact_N and construct.  With a
+    limit, stop at the first hitting set of size <= limit instead of proving a
+    minimum; a returned size above limit means none exists.  Some group of
+    symmetries of the masks must act transitively on the elements they cover
+    (G, G/H or K/H here), or the result can exceed the minimum.  nodes counts
+    the search nodes expanded; the search is the module docstring's memoized
+    frontier search, from _greedy_hitting_set's incumbent.  Past deadline, a
+    time.monotonic_ns() reading, or deeper than Python's recursion limit, it
+    raises BudgetExceededError.  An empty mask, which nothing can hit, raises
+    EmptySetError.
     """
     if not all(set_bits):
         raise EmptySetError("a family holding the empty set has no hitting set")
@@ -337,9 +339,11 @@ class ExactResult:
 def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) -> ExactResult:
     """Exact threshold N for the pattern, or BudgetExceededError; never partial.
 
-    DEFAULT_MAX_ORDER caps |G/H|; a single coset of the stabilizer H needs no
-    search.  Verification's own cap (MAX_VERIFY_WORK) is checked before the
-    quotient is built.
+    The search runs on G/H's class-index masks (groups._ranks), and the
+    witness is the coset maximum of each class hit, lifted to every K-coset.
+    DEFAULT_MAX_ORDER caps |G/H|; a single coset of the stabilizer H hits
+    every class with no search.  Verification's own cap (MAX_VERIFY_WORK) is
+    checked before the quotient is built.
     """
     if pattern.bits == 0:
         raise EmptySetError("exact solve needs a nonempty pattern")
@@ -354,39 +358,26 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
     # In integer nanoseconds: a float deadline overflows on a budget of 309 digits.
     deadline = None if budget_ms is None else time.monotonic_ns() + budget_ms * 1_000_000
     view = quotient_view(grp, sub)
-    maxima = _lift(view, 0).complement().bits  # one element per H-coset
-    if one_coset:
-        # Each translate is one H-coset, hit by its one maximum.
-        witness_bits, nodes = maxima, 0
-    else:
+    full_q = (1 << view.size) - 1
+    hit, nodes, family = full_q, 0, ()  # a single coset: each translate is one class, all hit
+    if not one_coset:
         family = translate_family(pattern)
+        classes = [_ranks(view, t & view.minima) for t in family]
         # S's connected component, by overlap, is the K-coset s0 + K.
-        block, prev = family[0], 0
+        block, prev = classes[0], 0
         while block != prev:
             prev = block
-            for t in family:
-                if t & block:
-                    block |= t
-        core = [t & maxima for t in family if t & block]
-        # Solved over the core's elements alone, relabelled by rank unless
-        # they are 0..n-1: that keeps their order, so the search and its
-        # witness are those over G.
-        elements = _bit_indices(block & maxima)
-        relabel = elements[-1] >= len(elements)
-        if relabel:
-            ranked = {a: 1 << i for i, a in enumerate(elements)}.__getitem__
-            core = [sum(map(ranked, _bit_indices(t))) for t in core]
-        _, witness_bits, nodes = _solve_hitting_set(core, len(elements), deadline)
-        if relabel:
-            picked = [elements[i] for i in _bit_indices(witness_bits)]
-            witness_bits = GroupSubset.from_indices(grp, picked).bits
-        if len(core) < len(family):
-            # Lift: r + witness hits the whole copy r + S lies in; the copies
-            # are disjoint, so each K-coset gets exactly one.  The shifts are
-            # drawn lazily, so each test sees every lift made before it.
-            witness = GroupSubset(grp, witness_bits)
-            shifts = (r for r, t in zip(view.representatives, family) if not t & witness_bits)
-            for lifted in _translates(witness, shifts):
-                witness_bits |= lifted
+            for c in classes:
+                if c & block:
+                    block |= c
+        core = [c for c in classes if c & block]
+        _, hit, nodes = _solve_hitting_set(core, view.size, deadline)
+    witness = _lift(view, full_q ^ hit).complement().bits  # the hit classes' maxima
+    # Lift: r + witness hits the whole copy r + S lies in; the copies are
+    # disjoint, so each other K-coset gets exactly one.
+    rotate, witness_bits = _rotation(grp), witness
+    for r, t in zip(view.representatives, family):
+        if not t & witness_bits:
+            witness_bits |= rotate(witness, r)
     avoider = certify(GroupSubset(grp, witness_bits).complement(), pattern).avoiding_set
     return ExactResult(max_avoider=avoider, nodes=nodes)

@@ -6,12 +6,12 @@ coordinate i has stride m1*...*m_{i-1}, so flat = c0 + m1*(c1 + m2*(c2 + ...)).
 The flat index is the canonical identity of an element; coordinate tuples are a
 view.  Subsets are arbitrary-precision ints used as bitsets, bit i = element i,
 which keeps compare/intersect at machine speed for the sizes the exact solver
-can reach.  _translates is the rotation kernel: it translates one subset by a
-list of shifts with one masked rotation per axis.  It builds
-exact.translate_family, the one family exact_N solves, and serves
-verify_avoids and exact_N's lift; _close adds a subgroup to a set by doubling:
-subgroup_generated is {0} closed under its generators.
-from_indices sets its bits in a bytearray bitmap converted once.
+can reach.  The rotation kernel _rotation builds a group's block masks once
+and returns rotate(bits, t), one masked rotation per axis.  _translates
+rotates one subset by a list of shifts; _close, by doubling one rotate at a
+time, and exact_N's lift call rotate directly.  subgroup_generated is {0}
+closed under its generators.  from_indices sets its bits in a bytearray
+bitmap converted once.
 
 Still per element: GroupSubset.translate calls add once per element, and
 stabilizer translates through it (its generator check is one kernel
@@ -32,7 +32,7 @@ is a plain int bitmask over class indices, and every map between masks and
 G is a _close over the pivots: preimage_subset closes the chosen minima,
 project_subset ranks S's minima and checks them through preimage_subset,
 and _lift adds every other coset minus its maximum, the maxima being the
-minima reflected by a -> g-1-a.
+minima reflected by a -> g-1-a; _ranks names classes for every caller.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DomainMismatchError,
@@ -194,8 +194,7 @@ class Quotient:
         self.pivots = tuple(pivots)
         self.minima = minima
         self.size = q = base.size // modulus.order
-        # With H trivial or G cyclic the minima are 0..q-1, kept as a range.
-        dense = minima.bit_length() == q
+        dense = minima.bit_length() == q  # H trivial or G cyclic: kept as a range
         self.representatives = range(q) if dense else tuple(_bit_indices(minima))
 
     def __repr__(self) -> str:
@@ -216,8 +215,8 @@ def _bit_indices(bits: int) -> list[int]:
     return out
 
 
-def _translates(subset: "GroupSubset", shifts: Iterable[int]) -> Iterator[int]:
-    """Bitset of t + subset for each t in shifts, in order; shifts are not checked.
+def _rotation(group: Group) -> Callable[[int, int], int]:
+    """rotate(bits, t), the bitset of t + bits; t is not checked.
 
     Translating by t rotates each axis coordinate c to c + t_i mod m_i, one
     masked rotation per nontrivial axis.  A cyclic group rotates the whole
@@ -225,18 +224,14 @@ def _translates(subset: "GroupSubset", shifts: Iterable[int]) -> Iterator[int]:
     into blocks of st*m bits; in each block the elements whose coordinate is
     below m - t_i move up by t_i*st and the rest move down by (m - t_i)*st.
     starts has a 1 at the first bit of every block, so
-    (starts << keep) - starts masks the low keep bits of each.  It yields
-    one translate at a time and keeps no mask per shift, so memory stays at
-    a few |G|-bit ints, and no |G|-bit int is divided or multiplied.
+    (starts << keep) - starts masks the low keep bits of each, built once
+    per call here; no |G|-bit int is divided or multiplied.
     """
-    grp = subset.group
-    g, bits = grp.size, subset.bits
+    g = group.size
     full = (1 << g) - 1
-    axes = grp.axes
+    axes = group.axes
     if len(axes) <= 1:
-        for t in shifts:
-            yield ((bits << t) | (bits >> (g - t))) & full
-        return
+        return lambda bits, t: ((bits << t) | (bits >> (g - t))) & full
     blocks = []
     for m, st in axes:
         starts, width = 1, st * m
@@ -244,15 +239,24 @@ def _translates(subset: "GroupSubset", shifts: Iterable[int]) -> Iterator[int]:
             starts |= starts << width
             width <<= 1
         blocks.append((m, st, starts & full))
-    for t in shifts:
-        b = bits
+
+    def rotate(bits: int, t: int) -> int:
         for m, st, starts in blocks:
             c = t // st % m
             if c:
                 keep = (m - c) * st
-                moved = b & ((starts << keep) - starts)
-                b = (moved << c * st) | ((b ^ moved) >> keep)
-        yield b
+                moved = bits & ((starts << keep) - starts)
+                bits = (moved << c * st) | ((bits ^ moved) >> keep)
+        return bits
+
+    return rotate
+
+
+def _translates(subset: "GroupSubset", shifts: Iterable[int]) -> Iterator[int]:
+    """Bitset of t + subset for each t in shifts, one at a time; shifts are not checked."""
+    rotate, bits = _rotation(subset.group), subset.bits
+    for t in shifts:
+        yield rotate(bits, t)
 
 
 @dataclass(frozen=True)
@@ -464,9 +468,10 @@ def _close(group: Group, bits: int, generators: Iterable[int]) -> int:
     Y + <t>.  A rotation that adds something doubles bits or completes
     Y + <t>, so t costs at most ceil(log2 |<t>|) + 1 rotations.
     """
+    rotate = _rotation(group)
     for t in generators:
         while True:
-            moved = next(_translates(GroupSubset(group, bits), [t]))
+            moved = rotate(bits, t)
             if moved | bits == bits:
                 break
             bits |= moved

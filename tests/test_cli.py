@@ -360,6 +360,14 @@ def test_construct_search_exhausted_exit_code():
         assert "error:" in err
 
 
+def test_construct_search_over_budget_exits_three(monkeypatch):
+    monkeypatch.setattr(construct, "DEFAULT_BUDGET_MS", 0)
+    code, out, err = run_cli(["construct", "Z40", "{0,1,3}", "--method", "search",
+                              "--target", "24"])
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+
+
 def test_construct_over_search_cap_exits_three():
     # thm2 searches the quotient, here all of Z1048576: refused before the
     # quotient or any translate mask is built.

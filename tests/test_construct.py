@@ -405,6 +405,15 @@ def test_search_avoider_ignores_the_seed_on_small_quotients(monkeypatch):
         search_avoider(GroupSubset.from_indices(Group([40]), [0, 1]), 21, seed=5)
 
 
+def test_search_avoider_exact_phase_runs_under_the_solver_budget(monkeypatch):
+    # Z40 {0,1,3} at 24 lies above the greedy's reach, so the exact phase
+    # runs; past its budget it is a budget error, not an exhausted search.
+    monkeypatch.setattr(construct, "DEFAULT_BUDGET_MS", 0)
+    pattern = GroupSubset.from_indices(Group([40]), [0, 1, 3])
+    with pytest.raises(BudgetExceededError):
+        search_avoider(pattern, 24)
+
+
 def test_search_avoider_is_deterministic_per_seed():
     grp = Group([16])
     pattern = GroupSubset.from_indices(grp, [0, 1, 5])

@@ -14,7 +14,7 @@ import traceback
 
 import pytest
 
-from oracles import NAIVE_MAX_ORDER, naive_exact, presentations
+from oracles import NAIVE_MAX_ORDER, all_subgroups, closure_reference, naive_exact, presentations
 from shiftfree import exact
 from shiftfree.bounds import bounds_report
 from shiftfree.cli import parse_group, parse_set
@@ -454,9 +454,9 @@ def test_exact_n_coset_union_solves_on_the_quotient():
 
 
 def test_exact_n_solves_over_the_core_elements_only(monkeypatch):
-    # Z2048 mod its order-64 subgroup: the core holds one maximum per coset
-    # of the 32 translates, so the solve's universe is 32 elements, not 2048,
-    # and the answer is the quotient's.
+    # Z2048 mod its order-64 subgroup: the core's masks name the 32 classes
+    # of G/H, so the solve's universe is 32 elements, not 2048, and the
+    # answer is the quotient's.
     universes = []
     solve = exact._solve_hitting_set
 
@@ -472,6 +472,42 @@ def test_exact_n_solves_over_the_core_elements_only(monkeypatch):
     assert universes == [32]
     assert result.n_value == 2048 - 32 + quotient.n_value
     assert result.nodes == quotient.nodes
+
+
+def test_exact_n_on_every_non_box_stabilizer_matches_the_unreduced_solve():
+    # exact_N searches G/H with each class labelled by the rank of its coset
+    # minimum.  H is a box when it is the product of its parts on the axes;
+    # otherwise minimum order and maximum order of the cosets can differ.
+    # Every coset union holding 0 whose stabilizer is not a box, in every
+    # presentation of order <= 16, against the minimum hitting set of the
+    # G-level family, with the avoider checked by plain set arithmetic.
+    # The single cosets among them take no search: every class is hit.
+    checked, searched, shapes = 0, 0, set()
+    for n in range(1, 17):
+        for orders in presentations(n):
+            grp = Group(orders)
+            for sub in all_subgroups(grp):
+                on_axes = [a for a in sub.indices() if sum(map(bool, grp.coords(a))) <= 1]
+                if closure_reference(grp, on_axes) == sub.bits:
+                    continue
+                others = sorted({sub.translate(r).bits for r in grp.elements()} - {sub.bits})
+                for chosen in range(1 << len(others)):
+                    bits = sub.bits | sum(c for j, c in enumerate(others) if chosen >> j & 1)
+                    pattern = GroupSubset(grp, bits)
+                    if stabilizer(pattern).bits != sub.bits:
+                        continue
+                    result = exact_N(pattern)
+                    assert result.n_value == grp.size - solve_family(pattern)[0] + 1, pattern
+                    avoider = set(result.max_avoider.indices())
+                    assert len(avoider) == result.n_value - 1
+                    members = pattern.indices()
+                    for t in grp.elements():
+                        assert not {grp.add(t, x) for x in members} <= avoider, (pattern, t)
+                    checked += 1
+                    if chosen:
+                        searched += 1
+                        shapes.add(tuple(orders))
+    assert (searched, checked - searched, len(shapes)) == (2984, 133, 16)
 
 
 def test_exact_n_builds_its_family_through_translate_family(monkeypatch):

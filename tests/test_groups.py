@@ -21,6 +21,7 @@ from shiftfree.groups import (
     GroupSubset,
     Quotient,
     Subgroup,
+    _close,
     _lift,
     preimage_subset,
     project_subset,
@@ -379,6 +380,17 @@ def test_subgroup_generated_matches_closure_on_every_pair():
                 for b in grp.elements():
                     want = closure_reference(grp, [a, b])
                     assert subgroup_generated(grp, [a, b]).bits == want, (orders, a, b)
+
+
+def test_close_builds_no_subset(monkeypatch):
+    # _close rotates plain ints with one rotation set up per call.
+    built = []
+    check = GroupSubset.__post_init__
+    monkeypatch.setattr(GroupSubset, "__post_init__", lambda self: built.append(check(self)))
+    for orders, gens in (([12], [4]), ([4, 6], [6, 2]), ([2, 3, 4], [1, 5])):
+        grp = Group(orders)
+        assert _close(grp, 1, gens) == closure_reference(grp, gens)
+    assert built == []
 
 
 def test_subgroup_generated_is_linear_in_the_group_order():
