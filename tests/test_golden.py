@@ -20,10 +20,11 @@ from run import call, load_package  # noqa: E402
 from workloads import stream  # noqa: E402
 
 # workload -> (ops from the start of its seed-1 stream, sha256 of their output).
-# coset-construct's stream opens with `table`.
+# coset-construct's stream opens with `table`; 24 of its first 200 ops are in Z2024,
+# where the certified sets leave _bit_indices by its dense pass.
 GOLDEN = {
     "exact-cap": (200, "d36b54f3ef18ccd72d0e59802e8b248d7247b49b668675ecd0904c999c34eb10"),
-    "coset-construct": (40, "eaf1400b1fdafd729a363d19c02a88b0ec843980e19e7b54d07517cce9fe7847"),
+    "coset-construct": (200, "76986ba22f27f6c5fa655923c8e0f44f901d38c07096cb76da8b860b3d6bd527"),
     "large-order": (100, "8348e18acc32125b868bc9518b5bda9cfcc7db484290368a3e9eac39ca444829"),
 }
 

@@ -21,6 +21,8 @@ from shiftfree.groups import (
     GroupSubset,
     Quotient,
     Subgroup,
+    _DENSE_SHARE,
+    _bit_indices,
     _close,
     _lift,
     preimage_subset,
@@ -58,6 +60,13 @@ def test_make_group_sizes():
     assert Group([1]).size == 1
     assert Group([2, 3]).size == 6
     assert Group([4, 2]).orders == (4, 2)
+    a, b = Group([3, 4]), Group((3, 4))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Group([4, 3]) != a
+    stabilizer.cache_clear()
+    assert stabilizer(GroupSubset.from_indices(a, [0, 3, 6, 9])).order == 4
+    assert stabilizer(GroupSubset.from_indices(b, [0, 3, 6, 9])).order == 4
+    assert stabilizer.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_make_group_keeps_order_one_factors():
@@ -173,11 +182,39 @@ def test_subset_basics():
 
 def test_indices_match_a_bit_scan():
     rng = random.Random(17)
-    for g in (1, 2, 7, 64, 65, 1000, 4096):
+    for g in (1, 2, 7, 64, 65, 1000, 4096, 2**18):
         grp = Group([g])
         sparse = rng.getrandbits(g) & rng.getrandbits(g) & rng.getrandbits(g)
-        for bits in (0, 1, 1 << (g - 1), (1 << g) - 1, rng.getrandbits(g), sparse):
-            assert GroupSubset(grp, bits).indices() == [i for i in range(g) if bits >> i & 1]
+        cases = [0, 1, 1 << (g - 1), (1 << g) - 1, rng.getrandbits(g), sparse]
+        # Bit length g with set bits just below, at and just above g/_DENSE_SHARE.
+        at = -(-g // _DENSE_SHARE)
+        for k in {max(1, at - 1), at, min(g, at + 1)}:
+            chosen = rng.sample(range(g - 1), k - 1) + [g - 1]
+            cases.append(GroupSubset.from_indices(grp, chosen).bits)
+        if g == 2**18:
+            cases.append(GroupSubset.from_indices(grp, rng.sample(range(g), 300)).bits)
+        for bits in cases:
+            # A byte-by-byte scan: shifting the whole int per bit is quadratic.
+            scan = bits.to_bytes(g // 8 + 1, "little")
+            want = [8 * j + i for j, byte in enumerate(scan) if byte for i in range(8) if byte >> i & 1]
+            assert GroupSubset(grp, bits).indices() == want
+
+
+def test_indices_of_a_sparse_large_set_scans_per_bit():
+    # The dense pass costs a fixed amount per binary digit, so on 300 bits of
+    # 2**18 it is many times slower than the per-bit scan; 50 sparse calls
+    # must stay well under 50 dense passes over 2**18 digits.
+    g = 2**18
+    bits = GroupSubset.from_indices(Group([g]), random.Random(3).sample(range(g - 1), 299) + [g - 1]).bits
+    full = (1 << g) - 1
+    started = time.perf_counter()
+    for _ in range(50):
+        _bit_indices(full)
+    dense = time.perf_counter() - started
+    started = time.perf_counter()
+    for _ in range(50):
+        _bit_indices(bits)
+    assert time.perf_counter() - started < dense / 5
 
 
 def test_indices_of_a_dense_large_set_is_linear():
