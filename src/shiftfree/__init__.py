@@ -5,6 +5,9 @@ which every N-element subset of G contains a translate g + S.  The library
 computes N exactly when G/H is small (minimum hitting set over the translate
 family), evaluates four proven bounds in exact integer arithmetic, and builds
 certified avoiding sets witnessing the lower bounds.
+
+The exact and construct names load their modules on first access, so a
+process that only evaluates bounds never imports the solver.
 """
 
 from .bounds import (
@@ -16,13 +19,6 @@ from .bounds import (
     thm2_lower,
     upper_bound,
 )
-from .construct import (
-    Certificate,
-    construct_thm1,
-    construct_thm2,
-    search_avoider,
-    verify_avoids,
-)
 from .errors import (
     BudgetExceededError,
     DivisibilityError,
@@ -33,11 +29,6 @@ from .errors import (
     ParseError,
     SearchExhaustedError,
     ShiftfreeError,
-)
-from .exact import (
-    ExactResult,
-    exact_N,
-    translate_family,
 )
 from .groups import (
     Group,
@@ -52,6 +43,32 @@ from .groups import (
 )
 
 __version__ = "0.1.0"
+
+# Each name resolved by __getattr__, and the submodule that defines it.
+_LAZY = {
+    "Certificate": "exact",
+    "verify_avoids": "exact",
+    "translate_family": "exact",
+    "ExactResult": "exact",
+    "exact_N": "exact",
+    "construct_thm1": "construct",
+    "construct_thm2": "construct",
+    "search_avoider": "construct",
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule behind a lazy name, then bind the name here (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "Group",

@@ -25,10 +25,9 @@ grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DivisibilityError, EmptySetError
-from .groups import GroupSubset, stabilizer
+from .groups import GroupSubset, _Frozen, stabilizer
 
 __all__ = [
     "thm1_lower",
@@ -128,18 +127,32 @@ def _check_triple(g: int, h: int, s: int) -> None:
         raise ValueError(f"pattern size {s} exceeds group order {g}")
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Frozen):
     """All four bounds for one (G, S) instance, plus the structural orders."""
 
-    group_size: int
-    s: int
-    h: int
-    thm1_lower: int
-    lemma_lower: int
-    thm2_lower: int
-    upper: int
-    best_lower: int
+    __slots__ = __match_args__ = (
+        "group_size", "s", "h", "thm1_lower", "lemma_lower", "thm2_lower", "upper", "best_lower"
+    )
+
+    def __init__(
+        self,
+        group_size: int,
+        s: int,
+        h: int,
+        thm1_lower: int,
+        lemma_lower: int,
+        thm2_lower: int,
+        upper: int,
+        best_lower: int,
+    ):
+        object.__setattr__(self, "group_size", group_size)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "thm1_lower", thm1_lower)
+        object.__setattr__(self, "lemma_lower", lemma_lower)
+        object.__setattr__(self, "thm2_lower", thm2_lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "best_lower", best_lower)
 
     @property
     def transversal_size(self) -> int:

@@ -19,28 +19,33 @@ the argparse tree build_parser makes from the same table, so argparse writes
 every help text, usage line and error.  Integer options take ASCII digits
 only, as spec numbers do.
 
+argparse is imported only where the reader declines: by build_parser and on
+a converter's error path.  Each command handler imports the solver it runs
+(exact, construct) when called, so a bounds call loads neither, and csv is
+imported only for table --format csv.
+
 JSON documents are written by _json, which gives the bytes of
 json.dumps(doc, indent=2) and joins each list of plain ints in one call.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, NamedTuple, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from . import __version__
 from .bounds import BoundsReport, bounds_report
-from .construct import construct_thm1, construct_thm2, search_avoider, verify_avoids
-from .errors import BudgetExceededError, ParseError, SearchExhaustedError
-from .exact import DEFAULT_BUDGET_MS, exact_N
+from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, ParseError, SearchExhaustedError
 from .groups import Group, GroupSubset, stabilizer
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main", "run", "parse_group", "format_group", "parse_set"]
 
@@ -300,6 +305,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             ]
         return lines
 
+    from .exact import exact_N
+
     started = time.monotonic()
     try:
         result = exact_N(subset, budget_ms=args.budget_ms)
@@ -320,6 +327,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .construct import construct_thm1, construct_thm2, search_avoider
+
     group = parse_group(args.group)
     subset = parse_set(args.set, group)
     if args.method != "search":
@@ -356,6 +365,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .exact import verify_avoids
+
     group = parse_group(args.group)
     subset = parse_set(args.set, group)
     candidate = parse_set(args.candidate, group)
@@ -415,6 +426,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return lines
 
     def as_csv(doc: dict) -> str:
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "s", "h", "thm2_lower", "upper", "exact"])
@@ -464,27 +477,34 @@ def _emit(args: argparse.Namespace, doc: dict, text_fn, csv_fn=None) -> None:
         print("\n".join(text_fn(doc)))
 
 
+def _refuse(message: str) -> Exception:
+    """The argparse.ArgumentTypeError a converter raises, imported only on this error path."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _option_int(name: str, value: str) -> int:
     """An option's integer, read as spec numbers are: ASCII digits, at most 4,300 of them."""
     if not _is_number(value):
-        raise argparse.ArgumentTypeError(f"{name} must be the digits 0-9 only, got {_clip(value)}")
+        raise _refuse(f"{name} must be the digits 0-9 only, got {_clip(value)}")
     try:
         return int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{name} has {len(value)} digits, too many") from None
+        raise _refuse(f"{name} has {len(value)} digits, too many") from None
 
 
 def _seed(value: str) -> int:
     seed = _option_int("seed", value)
     if seed >= 2**64:
-        raise argparse.ArgumentTypeError(f"seed {_clip(value)} does not fit in 64 bits")
+        raise _refuse(f"seed {_clip(value)} does not fit in 64 bits")
     return seed
 
 
 def _budget(value: str) -> int:
     budget = _option_int("budget", value)
     if budget < 1:
-        raise argparse.ArgumentTypeError(f"budget must be >= 1, got {_clip(value)}")
+        raise _refuse(f"budget must be >= 1, got {_clip(value)}")
     return budget
 
 
@@ -554,13 +574,6 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _fill(parser: argparse.ArgumentParser, command: Command) -> None:
     """Give parser the options and positionals command declares."""
     for option in command.options:
@@ -572,6 +585,14 @@ def _fill(parser: argparse.ArgumentParser, command: Command) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree: a top-level parser with one subparser per command."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     parser = _Parser(prog="shiftfree", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
@@ -579,8 +600,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(argv: list[str]) -> Optional[argparse.Namespace]:
-    """The tree's Namespace for a well-formed command call, else None.
+class _Args(SimpleNamespace):
+    """The attributes of the tree's argparse.Namespace, built without argparse.
+
+    It equals a Namespace holding the same attributes, as two Namespaces do.
+    """
+
+    def __eq__(self, other: object):
+        argparse = sys.modules.get("argparse")  # no Namespace exists before it is imported
+        if isinstance(other, SimpleNamespace) or argparse and isinstance(other, argparse.Namespace):
+            return vars(self) == vars(other)
+        return NotImplemented
+
+
+def _read(argv: list[str]) -> Optional[_Args]:
+    """The tree's Namespace, as an _Args, for a well-formed command call, else None.
 
     Well formed: argv names a command, every token starting with "-" is one of
     its exact long flags, each followed by a value that does not start with
@@ -605,18 +639,22 @@ def _read(argv: list[str]) -> Optional[argparse.Namespace]:
         if option.type is not None:
             try:
                 value = option.type(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
+            except Exception as exc:
+                import argparse  # a converter refuses through _refuse, which has loaded it
+
+                if isinstance(exc, (argparse.ArgumentTypeError, TypeError, ValueError)):
+                    return None
+                raise
         if option.choices is not None and value not in option.choices:
             return None
         values[option.dest] = value
     if len(positionals) != len(command.positionals):
         return None
     values.update(zip(command.positionals, positionals))
-    return argparse.Namespace(command=argv[0], **values)
+    return _Args(command=argv[0], **values)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> argparse.Namespace | _Args:
     """build_parser().parse_args(argv), which runs only where _read declines.
 
     The tree words every refusal and help request, so its messages, usage

@@ -21,8 +21,8 @@ import random
 import time
 
 from .bounds import thm2_lower
-from .errors import BudgetExceededError, EmptySetError, SearchExhaustedError
-from .exact import DEFAULT_BUDGET_MS, Certificate, certify, verify_avoids
+from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, EmptySetError, SearchExhaustedError
+from .exact import Certificate, certify, verify_avoids
 from .exact import _check_verify_work, _element_sets, _greedy_hitting_set, _solve_hitting_set
 from .groups import Group, GroupSubset, _bit_indices, _close, _lift, _ranks, _translates
 from .groups import quotient_view, stabilizer
@@ -86,7 +86,7 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     A translate of the pattern is a union of H-cosets, so it fits in the lift
     only if all its classes were found.  A quotient above MAX_SEARCH_ORDER
     raises BudgetExceededError before it is built, and so does an exact
-    phase past exact.DEFAULT_BUDGET_MS.  SearchExhaustedError means every
+    phase past errors.DEFAULT_BUDGET_MS.  SearchExhaustedError means every
     phase ran and failed, which proves no such avoider exists when
     q <= EXACT_FALLBACK_LIMIT.  The result is a pure function of seed, and
     does not depend on it when q <= EXACT_FALLBACK_LIMIT.

@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the default wall-clock budget.
+
+DEFAULT_BUDGET_MS lives here, beside the BudgetExceededError its overrun
+raises, so the command line reads the --budget-ms default without loading
+the solver.
+"""
 
 __all__ = [
     "ShiftfreeError",
@@ -11,6 +16,9 @@ __all__ = [
     "BudgetExceededError",
     "SearchExhaustedError",
 ]
+
+# Milliseconds an exact solve, or an avoider search's exact phase, may run.
+DEFAULT_BUDGET_MS = 10_000
 
 
 class ShiftfreeError(Exception):

@@ -60,11 +60,10 @@ ceil(log2 |<p>|) + 1 for each pivot p of H (see verify_avoids).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceededError, DomainMismatchError, EmptySetError
-from .groups import GroupSubset, _bit_indices, _close, _lift, _rotation, _translates
+from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, DomainMismatchError, EmptySetError
+from .groups import GroupSubset, _bit_indices, _close, _Frozen, _lift, _rotation, _translates
 from .groups import _ranks, quotient_view, stabilizer
 
 __all__ = [
@@ -77,7 +76,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ORDER = 40
-DEFAULT_BUDGET_MS = 10_000
 # Covered-set masks _solve_hitting_set remembers; 2**18 of them take about 20 MB.
 MEMO_MAX_ENTRIES = 2**18
 # Cap on q * g for q translates of a g-bit set, an upper bound on the bit
@@ -88,17 +86,19 @@ MEMO_MAX_ENTRIES = 2**18
 MAX_VERIFY_WORK = 2**38
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Frozen):
     """Outcome of verifying a candidate avoiding set against a pattern.
 
     witness is the smallest transversal element g whose translate g + S lies
     inside the candidate, or None when no translate does.
     """
 
-    avoiding_set: GroupSubset
-    pattern: GroupSubset
-    witness: Optional[int]
+    __slots__ = __match_args__ = ("avoiding_set", "pattern", "witness")
+
+    def __init__(self, avoiding_set: GroupSubset, pattern: GroupSubset, witness: Optional[int]):
+        object.__setattr__(self, "avoiding_set", avoiding_set)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def verified(self) -> bool:
@@ -320,12 +320,14 @@ def _solve_hitting_set(
     return best_size, best_bits, nodes
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(_Frozen):
     """Exact N certified by a maximum avoider; its complement is a minimum hitting set."""
 
-    max_avoider: GroupSubset
-    nodes: int
+    __slots__ = __match_args__ = ("max_avoider", "nodes")
+
+    def __init__(self, max_avoider: GroupSubset, nodes: int):
+        object.__setattr__(self, "max_avoider", max_avoider)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def n_value(self) -> int:

@@ -43,7 +43,6 @@ minima reflected by a -> g-1-a; _ranks names classes for every caller.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
@@ -282,12 +281,56 @@ def _translates(subset: "GroupSubset", shifts: Iterable[int]) -> Iterator[int]:
         yield rotate(bits, t)
 
 
-@dataclass(frozen=True)
-class GroupSubset:
+class _Frozen:
+    """An immutable value: its fields are __match_args__, stored in __slots__.
+
+    A subclass sets its fields in __init__ through object.__setattr__.
+    Assignment and deletion raise AttributeError.  Two values are equal, and
+    hash alike, when they have the same class and equal fields.  A value
+    pickles and copies as a call of its class on its fields, so __init__ and
+    any validation in it run again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__match_args__, self._fields())
+        fields = ", ".join(f"{name}={value!r}" for name, value in pairs)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class GroupSubset(_Frozen):
     """Subset of a group's elements stored as a bitset over flat indices."""
 
-    group: Group
-    bits: int
+    __slots__ = __match_args__ = ("group", "bits")
+
+    def __init__(self, group: Group, bits: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
+
+    def _fields(self) -> tuple:  # spelled out: every lru_cache lookup on a subset hashes it
+        return self.group, self.bits
 
     def __post_init__(self):
         # bit_length, not a comparison with 1 << size: no |G|-bit int per subset.
@@ -350,7 +393,6 @@ class GroupSubset:
         return f"GroupSubset({self.group!r}, {{{', '.join(map(str, self.indices()))}}})"
 
 
-@dataclass(frozen=True, repr=False)
 class Subgroup(GroupSubset):
     """A GroupSubset that is a subgroup: contains 0, closed under add and neg.
 
@@ -358,6 +400,8 @@ class Subgroup(GroupSubset):
     element and the order are checked here; the exhaustive closure check is
     validate_subgroup in tests/oracles.py.
     """
+
+    __slots__ = ()
 
     def __post_init__(self):
         super().__post_init__()

@@ -13,6 +13,11 @@ closure_reference and all_subgroups build subgroups one element at a time,
 with no kernel rotation, so tests can enumerate every subgroup of a small
 group independently of subgroup_generated.
 
+check_value_semantics holds the library's immutable value types (GroupSubset,
+Subgroup, BoundsReport, Certificate, ExactResult) to the behaviour they had as
+frozen dataclasses: no assignment, equality and hash by class and value, a
+fixed repr, and pickle and deepcopy round trips.
+
 proposition_check and proposition_margin_grid check the real-valued
 inequality behind thm2_lower >= lemma_lower numerically, pointwise and on
 dense grids; it has no symbolic proof here.  For g >= h >= 1 and s >= 1:
@@ -22,7 +27,11 @@ dense grids; it has no symbolic proof here.  For g >= h >= 1 and s >= 1:
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
+import pytest
 
 from shiftfree.errors import BudgetExceededError, EmptySetError, InvalidGroupError
 from shiftfree.groups import Group, GroupSubset, Subgroup, subgroup_generated
@@ -113,6 +122,24 @@ def validate_subgroup(sub: Subgroup) -> Subgroup:
             if grp.add(a, b) not in sub:
                 raise InvalidGroupError(f"subgroup not closed under addition at {a}+{b}")
     return sub
+
+
+def check_value_semantics(value, twin, text: str) -> None:
+    """value is immutable, equals and hashes as twin (built apart), reprs as text, round-trips."""
+    assert value is not twin and value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert repr(value) == text
+    for name in value.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value
+    assert copy.deepcopy(value) == value and copy.copy(value) == value
 
 
 def proposition_check(g: float, h: float, s: float) -> bool:

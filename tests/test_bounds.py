@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import coset_union, proposition_check, proposition_margin_grid
+from oracles import check_value_semantics, coset_union, proposition_check, proposition_margin_grid
 from shiftfree.bounds import (
+    BoundsReport,
     bounds_report,
     ceil_root_power,
     lemma_lower,
@@ -229,6 +230,17 @@ def test_bounds_report_anchor_z6_pair():
     )
     assert report.best_lower == 3
     assert report.exact_value is None
+
+
+def test_bounds_report_is_an_immutable_value():
+    check_value_semantics(
+        bounds_report(GroupSubset.from_indices(Group([6]), [0, 1])),
+        BoundsReport(
+            group_size=6, s=2, h=1, thm1_lower=1, lemma_lower=3, thm2_lower=3, upper=4, best_lower=3
+        ),
+        "BoundsReport(group_size=6, s=2, h=1, thm1_lower=1, lemma_lower=3, thm2_lower=3, upper=4, "
+        "best_lower=3)",
+    )
 
 
 def test_bounds_report_best_lower_is_thm2():

@@ -913,7 +913,7 @@ def test_memory_error_exits_three(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "exact_N", exhausted)
+    monkeypatch.setattr(exact, "exact_N", exhausted)
     code, out, err = run_cli(["exact", "Z6", "{0,1}"])
     assert code == 3
     assert out == ""
@@ -933,20 +933,86 @@ def test_group_over_order_cap_exits_one():
     assert run_cli(["bounds", "Z1000000000000", "{0,1}"])[0] == 1
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports shiftfree from this source tree."""
     src = Path(shiftfree.__file__).resolve().parents[1]
-    code = (
-        "import sys, shiftfree, shiftfree.bounds, shiftfree.construct, shiftfree.exact, "
-        "shiftfree.groups, shiftfree.cli; print('numpy' in sys.modules)"
-    )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = run_fresh(
+        "import sys, shiftfree, shiftfree.bounds, shiftfree.construct, shiftfree.exact, "
+        "shiftfree.groups, shiftfree.cli; print('numpy' in sys.modules)"
+    )
     assert proc.stdout.strip() == "False"
+
+
+# Modules a call need not load: the value types are plain classes, argparse
+# parses only refused argv, csv writes only table --format csv, and each
+# solver loads with the command that runs it.
+COLD_START_UNLOADED = {"dataclasses", "argparse", "csv", "shiftfree.exact", "shiftfree.construct"}
+
+
+def fresh_main(argv: list[str]) -> tuple[int, str, set[str]]:
+    """(exit code, stderr, modules it added to sys.modules) of main(argv) in a fresh interpreter.
+
+    Only the difference is kept, so whatever site preloads does not count.
+    """
+    proc = run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from shiftfree.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, *sorted(set(sys.modules) - before))\n"
+    )
+    code, *added = proc.stdout.splitlines()[-1].split()
+    return int(code), proc.stderr, set(added)
+
+
+def test_bounds_call_loads_only_what_it_runs():
+    code, _, added = fresh_main(["bounds", "Z6", "{0,1}", "--format", "json"])
+    assert code == 0 and {"shiftfree.cli", "shiftfree.bounds"} <= added
+    assert not added & COLD_START_UNLOADED
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["exact", "Z6", "{0,1}"], ["verify", "Z6", "{0,1}", "{2,5}"]],
+)
+def test_exact_and_verify_load_the_solver_only(argv):
+    code, _, added = fresh_main(argv)
+    assert code == 0 and "shiftfree.exact" in added
+    assert not added & (COLD_START_UNLOADED - {"shiftfree.exact"})
+
+
+def test_construct_and_csv_load_on_their_own_calls():
+    assert "shiftfree.construct" in fresh_main(["construct", "Z6", "{0,1}"])[2]
+    code, _, added = fresh_main(["table", "--format", "csv"])
+    assert code == 0 and "csv" in added and not added & {"argparse", "shiftfree.exact"}
+
+
+def test_refused_argv_still_gets_argparse_usage():
+    code, err, added = fresh_main(["bounds"])
+    assert (code, err) == (1, run_cli(["bounds"])[2])
+    assert err.startswith("usage: shiftfree bounds") and "argparse" in added
+
+
+def test_star_import_binds_every_exported_name():
+    proc = run_fresh(
+        "import sys, shiftfree\n"
+        "lazy = 'shiftfree.exact' in sys.modules or 'shiftfree.construct' in sys.modules\n"
+        "names = {}\n"
+        "exec('from shiftfree import *', names)\n"
+        "exported = set(shiftfree.__all__)\n"
+        "print(lazy, exported <= set(names), exported <= set(dir(shiftfree)))\n"
+    )
+    assert proc.stdout.split() == ["False", "True", "True"]
 
 
 def test_package_has_no_runtime_numpy_and_exports_resolve():

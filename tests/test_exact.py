@@ -14,13 +14,20 @@ import traceback
 
 import pytest
 
-from oracles import NAIVE_MAX_ORDER, all_subgroups, closure_reference, naive_exact, presentations
+from oracles import (
+    NAIVE_MAX_ORDER,
+    all_subgroups,
+    check_value_semantics,
+    closure_reference,
+    naive_exact,
+    presentations,
+)
 from shiftfree import exact
 from shiftfree.bounds import bounds_report
 from shiftfree.cli import parse_group, parse_set
 from shiftfree.construct import construct_thm1, verify_avoids
 from shiftfree.errors import BudgetExceededError, EmptySetError
-from shiftfree.exact import DEFAULT_MAX_ORDER, exact_N, translate_family
+from shiftfree.exact import DEFAULT_MAX_ORDER, Certificate, ExactResult, exact_N, translate_family
 from shiftfree.groups import Group, GroupSubset, _translates, stabilizer, subgroup_generated
 
 
@@ -259,6 +266,22 @@ def test_exact_n_anchor_z6_pair():
 def test_exact_n_anchor_z4_coset():
     result = exact_N(GroupSubset.from_indices(Group([4]), [0, 2]))
     assert result.n_value == 3
+
+
+def test_certificate_and_result_are_immutable_values():
+    z6 = Group([6])
+    pattern = GroupSubset(z6, 0b11)
+    check_value_semantics(
+        verify_avoids(GroupSubset(z6, 0b100100), pattern),
+        Certificate(GroupSubset(z6, 0b100100), GroupSubset(z6, 0b11), None),
+        "Certificate(avoiding_set=GroupSubset(Group(orders=[6]), {2, 5}), "
+        "pattern=GroupSubset(Group(orders=[6]), {0, 1}), witness=None)",
+    )
+    check_value_semantics(
+        exact_N(pattern),
+        ExactResult(max_avoider=GroupSubset(z6, 0b101010), nodes=1),
+        "ExactResult(max_avoider=GroupSubset(Group(orders=[6]), {1, 3, 5}), nodes=1)",
+    )
 
 
 def test_exact_n_full_group_pattern():

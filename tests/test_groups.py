@@ -8,7 +8,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import all_subgroups, closure_reference, presentations, validate_subgroup
+from oracles import (
+    all_subgroups,
+    check_value_semantics,
+    closure_reference,
+    presentations,
+    validate_subgroup,
+)
 from shiftfree.errors import (
     DomainMismatchError,
     EmptySetError,
@@ -436,6 +442,25 @@ def test_subgroup_generated_is_linear_in_the_group_order():
     started = time.perf_counter()
     assert subgroup_generated(Group([2**20]), [16]).order == 2**16
     assert time.perf_counter() - started < 0.2
+
+
+def test_subsets_are_immutable_values():
+    z6 = Group([6])
+    check_value_semantics(
+        GroupSubset(z6, 0b11),
+        GroupSubset.from_indices(z6, [1, 0]),
+        "GroupSubset(Group(orders=[6]), {0, 1})",
+    )
+    check_value_semantics(
+        Subgroup(z6, 0b1001), subgroup_generated(z6, [3]), "Subgroup(Group(orders=[6]), {0, 3})"
+    )
+    # Equal only within one class, as the dataclasses were: the same bits differ.
+    assert GroupSubset(z6, 1) != Subgroup(z6, 1) and Subgroup(z6, 1) != GroupSubset(z6, 1)
+    for bits in (-1, 1 << 6):
+        with pytest.raises(DomainMismatchError):
+            GroupSubset(z6, bits)
+    with pytest.raises(InvalidGroupError):
+        Subgroup(z6, 0b1000)  # {3}: no zero
 
 
 def test_subgroup_construction_guards():
