@@ -13,8 +13,9 @@ translate of S.  Four bounds are computed, all in exact integer arithmetic:
 Ceilings of fractional powers are never taken in floating point: the helper
 ceil_root_power finds the least integer t with t**root >= mantissa**exponent
 from a float estimate that exact big-int powers check and correct, so
-lemma_lower is the least t with t**s >= h*g**(s-1) and the thm2 ceiling is the
-least t with t**s >= (g/h)**(s-h).
+lemma_lower is the least t with t**s >= h*g**(s-1).  The thm2 ceiling is the
+least t with t**k >= (g/h)**(k-1), k = s/h: since s = hk, that is the least t
+with t**s >= (g/h)**(s-h), from powers of h times fewer bits.
 
 The real-valued inequality behind thm2_lower >= lemma_lower (for g >= h >= 1,
 s >= 1: (h-1)/h*g + (g/h)**(1-h/s) >= h**(1/s) * g**(1-1/s)) has no symbolic
@@ -113,7 +114,8 @@ def lemma_lower(g: int, h: int, s: int) -> int:
 def thm2_lower(g: int, h: int, s: int) -> int:
     """Quotient-construction lower bound g - g/h + ceil((g/h)**(1-h/s))."""
     _check_triple(g, h, s)
-    return g - g // h + ceil_root_power(g // h, s - h, s)
+    k = s // h
+    return g - g // h + ceil_root_power(g // h, k - 1, k)
 
 
 def _check_triple(g: int, h: int, s: int) -> None:
@@ -133,26 +135,6 @@ class BoundsReport(_Frozen):
     __slots__ = __match_args__ = (
         "group_size", "s", "h", "thm1_lower", "lemma_lower", "thm2_lower", "upper", "best_lower"
     )
-
-    def __init__(
-        self,
-        group_size: int,
-        s: int,
-        h: int,
-        thm1_lower: int,
-        lemma_lower: int,
-        thm2_lower: int,
-        upper: int,
-        best_lower: int,
-    ):
-        object.__setattr__(self, "group_size", group_size)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "thm1_lower", thm1_lower)
-        object.__setattr__(self, "lemma_lower", lemma_lower)
-        object.__setattr__(self, "thm2_lower", thm2_lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "best_lower", best_lower)
 
     @property
     def transversal_size(self) -> int:

@@ -9,8 +9,9 @@ and verify_avoids live in exact and are re-exported here.
 There is one avoider builder, search_avoider.  With H the pattern's
 stabilizer and q = |G/H|, an avoider of S/H in G/H lifts to one of g - q more
 elements in G, so it searches G/H: the complement of exact's greedy hitting
-set first, then a bounded exact solve on small quotients and seeded random
-samples and repair on the others.
+set first, then a bounded exact solve when q <= exact.MAX_EXACT_ORDER (the
+quotients exact_N answers) and seeded random samples and repair on the
+others.
 construct_thm2 is search_avoider at the theorem-2 size, which the greedy
 always reaches, so it never draws from the seed.
 """
@@ -22,9 +23,9 @@ import time
 
 from .bounds import thm2_lower
 from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, EmptySetError, SearchExhaustedError
-from .exact import Certificate, certify, verify_avoids
+from .exact import MAX_EXACT_ORDER, Certificate, certify, verify_avoids
 from .exact import _check_verify_work, _element_sets, _greedy_hitting_set, _solve_hitting_set
-from .groups import Group, GroupSubset, _bit_indices, _close, _lift, _ranks, _translates
+from .groups import GroupSubset, _bit_indices, _close, _lift, _ranks, _rotation
 from .groups import quotient_view, stabilizer
 
 __all__ = [
@@ -35,13 +36,12 @@ __all__ = [
     "construct_thm2",
 ]
 
-# Search budgets: random samples, repair steps, the largest quotient solved
-# by an exact hitting-set search in their place, and the largest quotient
+# Search budgets: random samples, repair steps, and the largest quotient
 # q = |G/H| the search accepts (it keeps q element masks of q bits each, and
-# their transposes once the greedy falls short).
+# their transposes once the greedy falls short).  Quotients up to
+# exact.MAX_EXACT_ORDER get an exact hitting-set solve in place of the samples.
 MAX_RANDOM_RESTARTS = 64
 MAX_REPAIR_STEPS = 2000
-EXACT_FALLBACK_LIMIT = 64
 MAX_SEARCH_ORDER = 2**14
 
 
@@ -77,40 +77,41 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     """Find a verified avoiding set of exactly target_size elements.
 
     With H the pattern's stabilizer and q = |G/H|, class c's mask holds the
-    translates of S/H at the classes of representatives[c] - S, the ranks of
-    the coset minima in one rotation of -S (the negated minima of S closed
-    under H's pivots).
+    translates of S/H at the classes of representatives[c] - S: the ranks of
+    the coset minima in one kernel rotation of -S (the negated minima of S
+    closed under H's pivots), as exact_N ranks its family.
     _search finds target_size - (g - q) classes avoiding S/H (at least 0),
     and _lift adds every other coset minus its maximum, cut to the lowest
     target_size elements when there are more.
     A translate of the pattern is a union of H-cosets, so it fits in the lift
-    only if all its classes were found.  A quotient above MAX_SEARCH_ORDER
-    raises BudgetExceededError before it is built, and so does an exact
-    phase past errors.DEFAULT_BUDGET_MS.  SearchExhaustedError means every
-    phase ran and failed, which proves no such avoider exists when
-    q <= EXACT_FALLBACK_LIMIT.  The result is a pure function of seed, and
-    does not depend on it when q <= EXACT_FALLBACK_LIMIT.
+    only if all its classes were found.  A bad seed or target_size raises
+    ValueError before the stabilizer is computed.  A quotient above
+    MAX_SEARCH_ORDER raises BudgetExceededError before it is built, and so
+    does an exact phase past errors.DEFAULT_BUDGET_MS.  SearchExhaustedError
+    means every phase ran and failed, which proves no such avoider exists
+    when q <= MAX_EXACT_ORDER, exactly where exact_N answers.  The result is
+    a pure function of seed, and does not depend on it when
+    q <= MAX_EXACT_ORDER.
     """
     if pattern.bits == 0:
         raise EmptySetError("search needs a nonempty pattern")
     grp = pattern.group
     g = grp.size
-    sub = stabilizer(pattern)
-    q = g // sub.order
-    _check_order(q)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     if not 0 <= target_size <= g:
         raise ValueError(f"target size must lie in [0, {g}], got {target_size}")
+    sub = stabilizer(pattern)
+    q = g // sub.order
+    _check_order(q)
     view = quotient_view(grp, sub)
     negated = [grp.neg(a) for a in _bit_indices(pattern.bits & view.minima)]  # -(S/H)
-    minus = GroupSubset(grp, _close(grp, GroupSubset.from_indices(grp, negated).bits, view.pivots))
-    if len(grp.axes) <= 1:  # G/H is Z_q, and each minimum is its own class
-        minus = GroupSubset(Group([q]), minus.bits & view.minima)
-    elem_masks = [_ranks(view, b & view.minima) for b in _translates(minus, view.representatives)]
+    minus = _close(grp, GroupSubset.from_indices(grp, negated).bits, view.pivots)
+    rotate = _rotation(grp)
+    elem_masks = [_ranks(view, rotate(minus, r) & view.minima) for r in view.representatives]
     classes = _search(elem_masks, max(0, target_size - (g - q)), seed)
     if classes < 0:
-        known = "exists" if q <= EXACT_FALLBACK_LIMIT else "found within budgets"
+        known = "exists" if q <= MAX_EXACT_ORDER else "found within budgets"
         raise SearchExhaustedError(f"no avoiding set of size {target_size} {known}")
     bits = _lift(view, classes).bits
     if target_size < g - q:
@@ -127,12 +128,11 @@ def _search(elem_masks: list[int], target: int, seed: int) -> int:
 
     elem_masks[c] masks the translates, q of them, that hold element c.  The
     greedy hitting set's complement comes first.  When it is too small, the
-    masks are transposed to one per translate.  With q <= EXACT_FALLBACK_LIMIT
-    an exact hitting-set solve bounded by q - target (and by time, as in
-    exact_N) then answers; larger
-    quotients get uniform random subsets and local repair of the last
-    sample, the only steps that draw from the seed.  Surplus elements are
-    trimmed from the top.
+    masks are transposed to one per translate.  With q <= MAX_EXACT_ORDER an
+    exact hitting-set solve bounded by q - target (and by time, as in
+    exact_N) then answers; larger quotients get uniform random subsets and
+    local repair of the last sample, the only steps that draw from the seed.
+    Surplus elements are trimmed from the top.
     """
     q = len(elem_masks)
     full = (1 << q) - 1
@@ -140,7 +140,7 @@ def _search(elem_masks: list[int], target: int, seed: int) -> int:
     if found.bit_count() >= target:
         return _lowest(found, target)
     masks = _element_sets(elem_masks, q)
-    if q <= EXACT_FALLBACK_LIMIT:
+    if q <= MAX_EXACT_ORDER:
         # B avoids every translate iff its complement hits every translate.
         deadline = time.monotonic_ns() + DEFAULT_BUDGET_MS * 1_000_000
         size, hitting, _ = _solve_hitting_set(masks, q, deadline, q - target)

@@ -7,14 +7,14 @@ repeat inside a stabilizer coset, so the transversal family is the whole
 family).  N is then |G| - tau + 1.
 
 translate_family builds that family as bitsets, one rotation of the kernel
-groups._translates per class and no GroupSubset per set; exact_N solves it.
+groups._rotation per class and no GroupSubset per set; exact_N solves it.
 
 exact_N reduces, solves, then lifts.  Reduce: every translate is a union of
 cosets of the stabilizer H, so a set hits it iff its image in G/H does:
 N(G, S) = g - g/h + N(G/H, S/H).  Every family set is read as its mask of
 G/H classes, class i being the coset whose minimum has rank i (as in
 groups.Quotient), so the search has at most |G/H| candidates and the order
-cap applies to |G/H|.  A single coset of H needs no search: every translate
+cap MAX_EXACT_ORDER applies to |G/H|.  A single coset of H needs no search: every translate
 is one class, so every class is hit.  Each translate t + S also lies in one
 coset of the difference subgroup K = <S - S> (K contains H), and
 translates overlap only inside one, so the family is [G:K] disjoint
@@ -60,10 +60,9 @@ ceil(log2 |<p>|) + 1 for each pivot p of H (see verify_avoids).
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, DomainMismatchError, EmptySetError
-from .groups import GroupSubset, _bit_indices, _close, _Frozen, _lift, _rotation, _translates
+from .groups import GroupSubset, _bit_indices, _close, _Frozen, _lift, _rotation
 from .groups import _ranks, quotient_view, stabilizer
 
 __all__ = [
@@ -75,7 +74,10 @@ __all__ = [
     "exact_N",
 ]
 
-DEFAULT_MAX_ORDER = 40
+# The largest |G/H| solved by _solve_hitting_set, for exact_N and for the
+# avoider search's exact phase alike: _bandwidth_order tests the family's
+# sets for overlap pair by pair, at most 64 * 63 / 2 = 2,016 tests.
+MAX_EXACT_ORDER = 64
 # Covered-set masks _solve_hitting_set remembers; 2**18 of them take about 20 MB.
 MEMO_MAX_ENTRIES = 2**18
 # Cap on q * g for q translates of a g-bit set, an upper bound on the bit
@@ -94,11 +96,6 @@ class Certificate(_Frozen):
     """
 
     __slots__ = __match_args__ = ("avoiding_set", "pattern", "witness")
-
-    def __init__(self, avoiding_set: GroupSubset, pattern: GroupSubset, witness: Optional[int]):
-        object.__setattr__(self, "avoiding_set", avoiding_set)
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "witness", witness)
 
     @property
     def verified(self) -> bool:
@@ -142,11 +139,11 @@ def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
     _check_verify_work(grp.size, sub.order)
     view = quotient_view(grp, sub)
     full = (1 << grp.size) - 1
-    inside = GroupSubset(grp, full ^ _close(grp, full ^ candidate.bits, view.pivots))
-    neg = grp.neg
+    inside = full ^ _close(grp, full ^ candidate.bits, view.pivots)
+    rotate, neg = _rotation(grp), grp.neg
     fits = -1  # every t, before any x is checked
-    for shifted in _translates(inside, [neg(x) for x in _bit_indices(pattern.bits & view.minima)]):
-        fits &= shifted
+    for x in _bit_indices(pattern.bits & view.minima):
+        fits &= rotate(inside, neg(x))
         if not fits:
             return Certificate(candidate, pattern, witness=None)
     return Certificate(candidate, pattern, witness=(fits & -fits).bit_length() - 1)
@@ -167,7 +164,8 @@ def translate_family(pattern: GroupSubset) -> tuple[int, ...]:
     if pattern.bits == 0:
         raise EmptySetError("translate family needs a nonempty pattern")
     reps = quotient_view(pattern.group, stabilizer(pattern)).representatives
-    return tuple(_translates(pattern, reps))
+    rotate, bits = _rotation(pattern.group), pattern.bits
+    return tuple(rotate(bits, r) for r in reps)
 
 
 def _element_sets(set_bits: list[int], universe: int) -> list[int]:
@@ -217,9 +215,8 @@ def _bandwidth_order(set_bits: list[int]) -> list[int]:
     any other), so all of them share one degree and one eccentricity: the
     component's lowest set is peripheral, and neighbours go by index.  A
     set's neighbours are the unplaced sets it overlaps, tested pair by pair:
-    every family solved here has at most 64 sets (exact_N's at most
-    DEFAULT_MAX_ORDER, construct's at most EXACT_FALLBACK_LIMIT), so that is
-    at most 2,016 overlap tests.
+    every family solved here has at most MAX_EXACT_ORDER = 64 sets, so that
+    is at most 2,016 overlap tests.
     """
     order: list[int] = []
     rest = list(range(len(set_bits)))  # the unplaced sets, ascending
@@ -325,10 +322,6 @@ class ExactResult(_Frozen):
 
     __slots__ = __match_args__ = ("max_avoider", "nodes")
 
-    def __init__(self, max_avoider: GroupSubset, nodes: int):
-        object.__setattr__(self, "max_avoider", max_avoider)
-        object.__setattr__(self, "nodes", nodes)
-
     @property
     def n_value(self) -> int:
         return self.max_avoider.size + 1
@@ -343,18 +336,19 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
 
     The search runs on G/H's class-index masks (groups._ranks), and the
     witness is the coset maximum of each class hit, lifted to every K-coset.
-    DEFAULT_MAX_ORDER caps |G/H|; a single coset of the stabilizer H hits
-    every class with no search.  Verification's own cap (MAX_VERIFY_WORK) is
-    checked before the quotient is built.
+    MAX_EXACT_ORDER caps |G/H|, as it caps construct's exact phase; a single
+    coset of the stabilizer H hits every class with no search at any order.
+    Verification's own cap (MAX_VERIFY_WORK) is checked before the quotient
+    is built.
     """
     if pattern.bits == 0:
         raise EmptySetError("exact solve needs a nonempty pattern")
     grp, g = pattern.group, pattern.group.size
     sub = stabilizer(pattern)
     one_coset = pattern.size == sub.order
-    if not one_coset and g // sub.order > DEFAULT_MAX_ORDER:
+    if not one_coset and g // sub.order > MAX_EXACT_ORDER:
         raise BudgetExceededError(
-            f"quotient order {g // sub.order} exceeds the exact-solver cap {DEFAULT_MAX_ORDER}"
+            f"quotient order {g // sub.order} exceeds the exact-solver cap {MAX_EXACT_ORDER}"
         )
     _check_verify_work(g, sub.order)  # refuse before the quotient is built
     # In integer nanoseconds: a float deadline overflows on a budget of 309 digits.

@@ -7,11 +7,12 @@ The flat index is the canonical identity of an element; coordinate tuples are a
 view.  Subsets are arbitrary-precision ints used as bitsets, bit i = element i,
 which keeps compare/intersect at machine speed for the sizes the exact solver
 can reach.  The rotation kernel _rotation builds a group's block masks once
-and returns rotate(bits, t), one masked rotation per axis.  _translates
-rotates one subset by a list of shifts; _close, by doubling one rotate at a
-time, and exact_N's lift call rotate directly.  subgroup_generated is {0}
-closed under its generators.  from_indices sets its bits in a bytearray
-bitmap converted once.
+and returns rotate(bits, t), one masked rotation per axis.  Every bitset
+translation outside GroupSubset.translate calls rotate directly: the
+translate family, verify_avoids, the avoider search's class masks, exact_N's
+lift, _close's doubling and stabilizer's generator check.
+subgroup_generated is {0} closed under its generators.  from_indices sets
+its bits in a bytearray bitmap converted once.
 
 Still per element: _bit_indices, through which every bitset leaves as a
 list, makes one str.rfind per set bit on an int with under 1/8 of its bit
@@ -274,24 +275,30 @@ def _rotation(group: Group) -> Callable[[int, int], int]:
     return rotate
 
 
-def _translates(subset: "GroupSubset", shifts: Iterable[int]) -> Iterator[int]:
-    """Bitset of t + subset for each t in shifts, one at a time; shifts are not checked."""
-    rotate, bits = _rotation(subset.group), subset.bits
-    for t in shifts:
-        yield rotate(bits, t)
-
-
 class _Frozen:
     """An immutable value: its fields are __match_args__, stored in __slots__.
 
-    A subclass sets its fields in __init__ through object.__setattr__.
-    Assignment and deletion raise AttributeError.  Two values are equal, and
-    hash alike, when they have the same class and equal fields.  A value
-    pickles and copies as a call of its class on its fields, so __init__ and
-    any validation in it run again.
+    __init__ binds the fields from positional and keyword arguments, and a
+    missing, repeated or unknown one raises TypeError.  Assignment and
+    deletion raise AttributeError.  Two values are equal, and hash alike,
+    when they have the same class and equal fields.  A value pickles and
+    copies as a call of its class on its fields, so __init__ and any
+    validation in it run again.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        values = dict(zip(names, args))
+        if len(args) > len(names) or values.keys() & kwargs or {*values, *kwargs} != {*names}:
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes the fields {', '.join(names)}, got "
+                f"{len(args)} positional and {', '.join(kwargs) or 'no'} keyword arguments"
+            )
+        values.update(kwargs)
+        for name in names:
+            object.__setattr__(self, name, values[name])
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__match_args__))
@@ -448,7 +455,7 @@ def stabilizer(subset: GroupSubset) -> Subgroup:
         subset = GroupSubset(grp, bits)
     members = _bit_indices(bits)
     neg = grp.neg
-    mask = full
+    mask, rotate = full, None
     for x in members:
         shrunk = mask & subset.translate(neg(x)).bits
         if shrunk == mask:
@@ -457,11 +464,12 @@ def stabilizer(subset: GroupSubset) -> Subgroup:
         m = mask.bit_count()
         if g % m or s % m:
             continue
+        rotate = rotate or _rotation(grp)
         closure = 1
         while closure != mask:
             rest = mask & ~closure
             h = (rest & -rest).bit_length() - 1
-            if next(_translates(subset, [h])) != bits:
+            if rotate(bits, h) != bits:
                 break
             closure = _close(grp, closure, [h])
         else:

@@ -164,6 +164,19 @@ def test_thm2_lower_anchors():
     assert thm2_lower(2024, 8, 8) == 1772
 
 
+def test_thm2_lower_root_reduced_by_h():
+    # thm2_lower takes the ceiling as the least t with t**k >= q**(k-1),
+    # k = s/h; with s = hk that is the least t with t**s >= q**(s-h), the
+    # unreduced form kept here as the reference.
+    for q in range(1, 40):
+        for h in range(1, 9):
+            for k in range(1, 12):
+                g, s = q * h, h * k
+                if s <= g:
+                    reference = g - q + ceil_root_power(q, s - h, s)
+                    assert thm2_lower(g, h, s) == reference, (g, h, s)
+
+
 def test_triple_validation():
     with pytest.raises(DivisibilityError):
         lemma_lower(6, 4, 4)  # h does not divide g

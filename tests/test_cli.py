@@ -268,11 +268,11 @@ def test_exact_corollary_small():
 
 
 def test_exact_budget_exceeded_still_prints_bounds():
-    code, out, err = run_cli(["exact", "Z48", "{0,1}", "--format", "json"])
+    code, out, err = run_cli(["exact", "Z65", "{0,1}", "--format", "json"])
     assert code == 3
     doc = json.loads(out)
     assert "exact" not in doc
-    assert doc["bounds"]["upper"] == 25
+    assert doc["bounds"]["upper"] == 33
     assert "error:" in err
 
 
@@ -518,7 +518,7 @@ JSON_ARGVS = [
     ["bounds", "Z4xZ2", "{(0,0),(1,1),(2,0)}"],
     ["exact", "Z6", "{0,1}"],
     ["exact", "Z8", "{0,4}"],  # corollary: a single coset
-    ["exact", "Z48", "{0,1}"],  # exit 3: the doc has no "exact" key
+    ["exact", "Z65", "{0,1}"],  # exit 3: the doc has no "exact" key
     ["construct", "Z4", "{0,2}", "--method", "thm1"],
     ["construct", "Z2024", "cosets(order=8; reps=0,1)", "--method", "thm2"],
     ["construct", "Z6", "{0,1}", "--method", "search", "--target", "2", "--seed", "7"],

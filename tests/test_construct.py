@@ -26,6 +26,7 @@ from shiftfree.errors import (
     EmptySetError,
     SearchExhaustedError,
 )
+from shiftfree.exact import MAX_EXACT_ORDER, exact_N
 from shiftfree.groups import (
     Group,
     GroupSubset,
@@ -73,6 +74,17 @@ def test_seed_must_fit_in_64_bits():
         with pytest.raises(ValueError, match="64 bits"):
             search_avoider(pair, 3, seed=bad)
     assert search_avoider(pair, 3, seed=2**64 - 1).verified
+
+
+def test_search_avoider_refuses_bad_arguments_before_the_stabilizer(monkeypatch):
+    def no_stabilizer(subset):
+        raise AssertionError("stabilizer computed")
+
+    monkeypatch.setattr(construct, "stabilizer", no_stabilizer)
+    pattern = GroupSubset.from_indices(Group([2**16]), [0, 1])
+    for target, seed in ((2**16 + 1, 0), (-1, 0), (3, -1), (3, 2**64)):
+        with pytest.raises(ValueError):
+            search_avoider(pattern, target, seed=seed)
 
 
 # -- verifier -------------------------------------------------------------------
@@ -314,7 +326,7 @@ def test_search_avoider_exhausts_when_no_set_exists():
 
 
 def test_search_avoider_fallback_matches_naive_oracle():
-    # On a quotient of at most EXACT_FALLBACK_LIMIT classes, the greedy
+    # On a quotient of at most MAX_EXACT_ORDER classes, the greedy
     # complement and then the bounded hitting-set solve on G/H must find an
     # avoider exactly when one exists, whatever the stabilizer.  One pattern
     # per translation orbit: translates share every avoider size.
@@ -386,7 +398,7 @@ def test_search_avoider_keeps_its_random_bits_above_the_greedy(monkeypatch):
 
 
 def test_search_avoider_ignores_the_seed_on_small_quotients(monkeypatch):
-    # With q <= EXACT_FALLBACK_LIMIT the exact solve follows the greedy
+    # With q <= MAX_EXACT_ORDER the exact solve follows the greedy
     # directly: no random phase runs, so every seed gives the same bits.
     def no_rng(seed):
         raise AssertionError("random.Random built")
@@ -403,6 +415,25 @@ def test_search_avoider_ignores_the_seed_on_small_quotients(monkeypatch):
         assert len(results) == 1 and results.pop().size == target
     with pytest.raises(SearchExhaustedError, match="exists"):
         search_avoider(GroupSubset.from_indices(Group([40]), [0, 1]), 21, seed=5)
+
+
+def test_search_avoider_proves_exactly_where_exact_n_answers():
+    # exact_N proves a minimum and the search's exact phase stops at a size
+    # limit; both solve on G/H up to MAX_EXACT_ORDER, so the search must find
+    # an avoider of size N - 1 and prove that none of size N exists.  Every
+    # order from 41 (above the old cap) to the cap, cyclic and two-factor.
+    cases = []
+    for g in range(41, MAX_EXACT_ORDER + 1):
+        cases += [([g], [0, 1, 3]), ([g], [0, 2, 5])]
+        pairs = [orders for orders in presentations(g) if len(orders) == 2]
+        cases += [(orders, [0, 1, orders[0] + 1]) for orders in pairs]  # {0, (1,0), (1,1)}
+    for orders, members in cases:
+        pattern = GroupSubset.from_indices(Group(orders), members)
+        n = exact_N(pattern).n_value
+        cert = search_avoider(pattern, n - 1)
+        assert cert.verified and cert.size == n - 1
+        with pytest.raises(SearchExhaustedError, match="exists"):
+            search_avoider(pattern, n)
 
 
 def test_search_avoider_exact_phase_runs_under_the_solver_budget(monkeypatch):

@@ -27,8 +27,8 @@ from shiftfree.bounds import bounds_report
 from shiftfree.cli import parse_group, parse_set
 from shiftfree.construct import construct_thm1, verify_avoids
 from shiftfree.errors import BudgetExceededError, EmptySetError
-from shiftfree.exact import DEFAULT_MAX_ORDER, Certificate, ExactResult, exact_N, translate_family
-from shiftfree.groups import Group, GroupSubset, _translates, stabilizer, subgroup_generated
+from shiftfree.exact import MAX_EXACT_ORDER, Certificate, ExactResult, exact_N, translate_family
+from shiftfree.groups import Group, GroupSubset, _rotation, stabilizer, subgroup_generated
 
 
 def solve_family(pattern: GroupSubset) -> tuple[int, int]:
@@ -72,11 +72,12 @@ def test_translates_kernel_matches_translate_on_every_small_group():
     groups += [Group([2, 1, 3]), Group([1, 4])]  # order-1 factors
     for grp in groups:
         g = grp.size
+        rotate = _rotation(grp)
         subsets = [1 << a for a in range(g)] + [rng.randrange(1 << g) for _ in range(8)]
         for bits in subsets + [0, (1 << g) - 1]:
             s = GroupSubset(grp, bits)
             want = [s.translate(t).bits for t in range(g)]
-            assert list(_translates(s, range(g))) == want, (grp, bits)
+            assert [rotate(bits, t) for t in range(g)] == want, (grp, bits)
 
 
 def test_translate_family_anchors():
@@ -282,6 +283,17 @@ def test_certificate_and_result_are_immutable_values():
         ExactResult(max_avoider=GroupSubset(z6, 0b101010), nodes=1),
         "ExactResult(max_avoider=GroupSubset(Group(orders=[6]), {1, 3, 5}), nodes=1)",
     )
+    # One constructor binds the fields by position or keyword, and nothing else.
+    avoider = GroupSubset(z6, 0b101010)
+    assert ExactResult(avoider, nodes=1) == ExactResult(nodes=1, max_avoider=avoider)
+    for args, kwargs in (
+        ((avoider,), {}),  # missing
+        ((avoider, 1), {"nodes": 1}),  # repeated
+        ((avoider, 1), {"optimal": True}),  # unknown
+        ((avoider, 1, True), {}),  # one too many
+    ):
+        with pytest.raises(TypeError, match="ExactResult takes the fields max_avoider, nodes"):
+            ExactResult(*args, **kwargs)
 
 
 def test_exact_n_full_group_pattern():
@@ -331,11 +343,10 @@ def test_exact_n_matches_naive_oracle_sampled():
             assert exact_N(pattern).n_value == naive_exact(pattern)
 
 
-def test_exact_n_adjacent_pair_closed_form(monkeypatch):
+def test_exact_n_adjacent_pair_closed_form():
     # For S = {0,1} in a cycle the maximum avoider is a maximum independent
     # set of the cycle graph, so N = floor(g/2) + 1.
-    monkeypatch.setattr(exact, "DEFAULT_MAX_ORDER", 41)
-    for g in (4, 6, 9, 13, 41):
+    for g in (4, 6, 9, 13, 41, MAX_EXACT_ORDER):
         grp = Group([g])
         result = exact_N(GroupSubset.from_indices(grp, [0, 1]))
         assert result.n_value == g // 2 + 1
@@ -556,7 +567,7 @@ def test_exact_n_builds_its_family_through_translate_family(monkeypatch):
 
 
 def test_exact_n_order_cap():
-    grp = Group([DEFAULT_MAX_ORDER + 1])
+    grp = Group([MAX_EXACT_ORDER + 1])
     with pytest.raises(BudgetExceededError):
         exact_N(GroupSubset.from_indices(grp, [0, 1]))
     # Refused before any quotient or translate family is built.
