@@ -21,8 +21,8 @@ only, as spec numbers do.
 
 argparse is imported only where the reader declines: by build_parser and on
 a converter's error path.  Each command handler imports the solver it runs
-(exact, construct) when called, so a bounds call loads neither, and csv is
-imported only for table --format csv.
+(exact, construct) when called, so a bounds call loads neither.  csv is never
+loaded: no table field needs quoting, so table --format csv joins its rows.
 
 JSON documents are written by _json, which gives the bytes of
 json.dumps(doc, indent=2) and joins each list of plain ints in one call.
@@ -30,7 +30,6 @@ json.dumps(doc, indent=2) and joins each list of plain ints in one call.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import sys
@@ -207,13 +206,7 @@ def _meta_doc(seed: Optional[int]) -> dict:
 
 
 def _bounds_doc(report: BoundsReport) -> dict:
-    return {
-        "thm1_lower": report.thm1_lower,
-        "lemma_lower": report.lemma_lower,
-        "thm2_lower": report.thm2_lower,
-        "upper": report.upper,
-        "best_lower": report.best_lower,
-    }
+    return {key: getattr(report, key) for key in (*BOUND_KEYS, "best_lower")}
 
 
 def _coincide(report: BoundsReport) -> list[list[str]]:
@@ -230,16 +223,27 @@ def _legend(group: Group) -> str:
     return f"flat = {terms} ({ranges})"
 
 
-def _set_text(subset: GroupSubset) -> str:
-    return "{" + ", ".join(map(str, subset.indices())) + "}"
+def _set_text(elements: list[int]) -> str:
+    return "{" + ", ".join(map(str, elements)) + "}"
 
 
-def _header(group: Group, subset: GroupSubset) -> list[str]:
+def _sized(elements: list[int]) -> str:
+    return f"{_set_text(elements)} (size {len(elements)})"
+
+
+def _pattern(args: argparse.Namespace) -> tuple[Group, GroupSubset, dict]:
+    """The group and pattern args name, and the group and set keys that open their document."""
+    group = parse_group(args.group)
+    subset = parse_set(args.set, group)
+    return group, subset, {"group": _group_doc(group), "set": _subset_doc(subset)}
+
+
+def _header(group: Group, doc: dict) -> list[str]:
     """The group, legend and set lines that open every single-pattern text output."""
     return [
         f"group: {format_group(group)} (order {group.size})",
         f"legend: {_legend(group)}",
-        f"set: {_set_text(subset)} (size {subset.size})",
+        f"set: {_sized(doc['set']['elements'])}",
     ]
 
 
@@ -247,13 +251,10 @@ def _header(group: Group, subset: GroupSubset) -> list[str]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
-    subset = parse_set(args.set, group)
+    group, subset, doc = _pattern(args)
     report = bounds_report(subset)
     sub = stabilizer(subset)
-    doc = {
-        "group": _group_doc(group),
-        "set": _subset_doc(subset),
+    doc |= {
         "stabilizer": {"elements": sub.indices(), "order": sub.order},
         "transversal_size": report.transversal_size,
         "bounds": _bounds_doc(report),
@@ -262,12 +263,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     }
 
     def text(doc: dict) -> list[str]:
-        lines = _header(group, subset) + [
-            f"stabilizer: {_set_text(sub)} (order {sub.order})",
+        lines = _header(group, doc) + [
+            f"stabilizer: {_set_text(doc['stabilizer']['elements'])} (order {sub.order})",
             f"transversal size: {report.transversal_size}",
         ]
-        lines += [f"{key}: {getattr(report, key)}" for key in BOUND_KEYS]
-        lines.append(f"best_lower: {report.best_lower}")
+        lines += [f"{key}: {value}" for key, value in doc["bounds"].items()]
         groups = doc["coincide"]
         lines.append("coincide: " + ("; ".join("=".join(g) for g in groups) if groups else "none"))
         return lines
@@ -277,21 +277,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
-    subset = parse_set(args.set, group)
+    group, subset, doc = _pattern(args)
     report = bounds_report(subset)
     sub = stabilizer(subset)
-    doc = {
-        "group": _group_doc(group),
-        "set": _subset_doc(subset),
+    doc |= {
         "stabilizer": {"elements": sub.indices(), "order": sub.order},
         "bounds": _bounds_doc(report),
         "meta": _meta_doc(None),
     }
 
     def text(doc: dict) -> list[str]:
-        lines = _header(group, subset) + [
-            f"stabilizer: {_set_text(sub)} (order {sub.order})",
+        lines = _header(group, doc) + [
+            f"stabilizer: {_set_text(doc['stabilizer']['elements'])} (order {sub.order})",
             "bounds: " + " ".join(f"{k}={doc['bounds'][k]}" for k in BOUND_KEYS),
         ]
         if "exact" in doc:
@@ -299,8 +296,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             lines += [
                 f"N: {ex['n']}",
                 f"method: {ex['method']}",
-                f"avoider: {{{', '.join(map(str, ex['avoider']))}}} (size {len(ex['avoider'])})",
-                f"hitting_set: {{{', '.join(map(str, ex['hitting_set']))}}} (size {len(ex['hitting_set'])})",
+                f"avoider: {_sized(ex['avoider'])}",
+                f"hitting_set: {_sized(ex['hitting_set'])}",
                 f"nodes: {ex['nodes']}",
             ]
         return lines
@@ -310,10 +307,9 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     started = time.monotonic()
     try:
         result = exact_N(subset, budget_ms=args.budget_ms)
-    except BudgetExceededError as exc:
-        _emit(args, doc, text)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except BudgetExceededError:
+        _emit(args, doc, text)  # the bounds still print; main words the error
+        raise
     doc["exact"] = {
         "n": result.n_value,
         "method": "corollary" if report.s == report.h else "hitting-set",
@@ -329,8 +325,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     from .construct import construct_thm1, construct_thm2, search_avoider
 
-    group = parse_group(args.group)
-    subset = parse_set(args.set, group)
+    group, subset, doc = _pattern(args)
     if args.method != "search":
         if args.target is not None:
             raise ParseError("--target only applies to --method search")
@@ -339,9 +334,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         raise ParseError("--method search requires --target")
     else:
         cert = search_avoider(subset, args.target, seed=args.seed)
-    doc = {
-        "group": _group_doc(group),
-        "set": _subset_doc(subset),
+    doc |= {
         "certificate": {
             "method": args.method,
             "elements": cert.avoiding_set.indices(),
@@ -354,9 +347,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
     def text(doc: dict) -> list[str]:
         cd = doc["certificate"]
-        return _header(group, subset) + [
+        return _header(group, doc) + [
             f"method: {cd['method']}",
-            f"avoider: {{{', '.join(map(str, cd['elements']))}}} (size {cd['size']})",
+            f"avoider: {_sized(cd['elements'])}",
             f"verified: {str(cd['verified']).lower()}",
         ]
 
@@ -367,13 +360,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .exact import verify_avoids
 
-    group = parse_group(args.group)
-    subset = parse_set(args.set, group)
+    group, subset, doc = _pattern(args)
     candidate = parse_set(args.candidate, group)
     cert = verify_avoids(candidate, subset)
-    doc = {
-        "group": _group_doc(group),
-        "set": _subset_doc(subset),
+    doc |= {
         "candidate": _subset_doc(candidate),
         "verified": cert.verified,
         "witness": cert.witness,
@@ -381,13 +371,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
 
     def text(doc: dict) -> list[str]:
-        lines = _header(group, subset) + [
-            f"candidate: {_set_text(candidate)} (size {candidate.size})",
+        lines = _header(group, doc) + [
+            f"candidate: {_sized(doc['candidate']['elements'])}",
             f"verified: {str(cert.verified).lower()}",
         ]
         if cert.witness is not None:
-            lines.append(f"witness: {cert.witness}")
-            lines.append(f"contained translate: {_set_text(subset.translate(cert.witness))}")
+            translate = subset.translate(cert.witness).indices()
+            lines += [f"witness: {cert.witness}", f"contained translate: {_set_text(translate)}"]
         return lines
 
     _emit(args, doc, text)
@@ -425,16 +415,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 lines.append(f"n={row['n']}: [{row['thm2_lower']}, {row['upper']}]")
         return lines
 
-    def as_csv(doc: dict) -> str:
-        import csv
-
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "s", "h", "thm2_lower", "upper", "exact"])
+    def as_csv(doc: dict) -> list[str]:
+        """A header and one line per row; no field, an int or empty, needs quoting."""
+        lines = [",".join(doc["table"][0])]
         for row in doc["table"]:
-            exact = "" if row["exact"] is None else row["exact"]
-            writer.writerow([row["n"], row["s"], row["h"], row["thm2_lower"], row["upper"], exact])
-        return out.getvalue()
+            lines.append(",".join("" if v is None else str(v) for v in row.values()))
+        return lines
 
     _emit(args, doc, text, as_csv)
     return 0
@@ -471,10 +457,8 @@ def _json(doc, pad: str = "\n") -> str:
 def _emit(args: argparse.Namespace, doc: dict, text_fn, csv_fn=None) -> None:
     if args.format == "json":
         print(_json(doc))
-    elif args.format == "csv":
-        sys.stdout.write(csv_fn(doc))
     else:
-        print("\n".join(text_fn(doc)))
+        print("\n".join((csv_fn if args.format == "csv" else text_fn)(doc)))
 
 
 def _refuse(message: str) -> Exception:
@@ -600,27 +584,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Args(SimpleNamespace):
-    """The attributes of the tree's argparse.Namespace, built without argparse.
-
-    It equals a Namespace holding the same attributes, as two Namespaces do.
-    """
-
-    def __eq__(self, other: object):
-        argparse = sys.modules.get("argparse")  # no Namespace exists before it is imported
-        if isinstance(other, SimpleNamespace) or argparse and isinstance(other, argparse.Namespace):
-            return vars(self) == vars(other)
-        return NotImplemented
-
-
-def _read(argv: list[str]) -> Optional[_Args]:
-    """The tree's Namespace, as an _Args, for a well-formed command call, else None.
+def _read(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The attributes of the tree's Namespace for a well-formed command call, else None.
 
     Well formed: argv names a command, every token starting with "-" is one of
     its exact long flags, each followed by a value that does not start with
     "-" and that passes the option's converter and choices, and the remaining
     tokens are its positionals, as many as it declares.  argparse reads such
-    an argv the same way; a repeated option keeps its last value.
+    an argv the same way; a repeated option keeps its last value.  Any
+    converter error declines: the tree converts the value again, and words
+    the refusal or re-raises.
     """
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
@@ -639,22 +612,18 @@ def _read(argv: list[str]) -> Optional[_Args]:
         if option.type is not None:
             try:
                 value = option.type(value)
-            except Exception as exc:
-                import argparse  # a converter refuses through _refuse, which has loaded it
-
-                if isinstance(exc, (argparse.ArgumentTypeError, TypeError, ValueError)):
-                    return None
-                raise
+            except Exception:
+                return None
         if option.choices is not None and value not in option.choices:
             return None
         values[option.dest] = value
     if len(positionals) != len(command.positionals):
         return None
     values.update(zip(command.positionals, positionals))
-    return _Args(command=argv[0], **values)
+    return SimpleNamespace(command=argv[0], **values)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace | _Args:
+def _parse(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
     """build_parser().parse_args(argv), which runs only where _read declines.
 
     The tree words every refusal and help request, so its messages, usage

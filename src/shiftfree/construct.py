@@ -11,9 +11,11 @@ stabilizer and q = |G/H|, an avoider of S/H in G/H lifts to one of g - q more
 elements in G, so it searches G/H: the complement of exact's greedy hitting
 set first, then a bounded exact solve when q <= exact.MAX_EXACT_ORDER (the
 quotients exact_N answers) and seeded random samples and repair on the
-others.
-construct_thm2 is search_avoider at the theorem-2 size, which the greedy
-always reaches, so it never draws from the seed.
+others.  A target of at most g - q needs no class, so it searches nothing
+and MAX_SEARCH_ORDER does not apply: construct_thm1 is search_avoider at
+g - q, the lift of the empty class set.  construct_thm2 is search_avoider at
+the theorem-2 size, which the greedy always reaches, so it never draws from
+the seed.
 """
 
 from __future__ import annotations
@@ -37,27 +39,26 @@ __all__ = [
 ]
 
 # Search budgets: random samples, repair steps, and the largest quotient
-# q = |G/H| the search accepts (it keeps q element masks of q bits each, and
-# their transposes once the greedy falls short).  Quotients up to
-# exact.MAX_EXACT_ORDER get an exact hitting-set solve in place of the samples.
+# q = |G/H| the search accepts for a target that needs classes (it keeps q
+# element masks of q bits each, and their transposes once the greedy falls
+# short).  Quotients up to exact.MAX_EXACT_ORDER get an exact hitting-set
+# solve in place of the samples.
 MAX_RANDOM_RESTARTS = 64
 MAX_REPAIR_STEPS = 2000
 MAX_SEARCH_ORDER = 2**14
 
 
 def construct_thm1(pattern: GroupSubset) -> Certificate:
-    """Avoiding set of size g - g/h: drop the max flat index of every H-coset.
+    """Avoiding set of size g - g/h: search_avoider at that size.
 
-    Every translate of the pattern is a union of stabilizer cosets, and every
-    coset here misses one element, so no translate fits.  Its verification's
-    cap is checked before the quotient is built.
+    It lifts no class: every H-coset minus its max flat index.  Every
+    translate of the pattern is a union of stabilizer cosets, and every coset
+    here misses one element, so no translate fits.
     """
     if pattern.bits == 0:
         raise EmptySetError("construction needs a nonempty pattern")
-    sub = stabilizer(pattern)
-    _check_verify_work(pattern.group.size, sub.order)
-    view = quotient_view(pattern.group, sub)
-    return certify(_lift(view, 0), pattern)
+    g = pattern.group.size
+    return search_avoider(pattern, g - g // stabilizer(pattern).order)
 
 
 def _check_order(order: int) -> None:
@@ -80,18 +81,19 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     translates of S/H at the classes of representatives[c] - S: the ranks of
     the coset minima in one kernel rotation of -S (the negated minima of S
     closed under H's pivots), as exact_N ranks its family.
-    _search finds target_size - (g - q) classes avoiding S/H (at least 0),
-    and _lift adds every other coset minus its maximum, cut to the lowest
-    target_size elements when there are more.
+    _search finds target_size - (g - q) classes avoiding S/H, and _lift adds
+    every other coset minus its maximum.  A target of at most g - q needs no
+    class: it lifts the empty class set, cut to the lowest target_size
+    elements, and builds no mask.
     A translate of the pattern is a union of H-cosets, so it fits in the lift
     only if all its classes were found.  A bad seed or target_size raises
-    ValueError before the stabilizer is computed.  A quotient above
-    MAX_SEARCH_ORDER raises BudgetExceededError before it is built, and so
-    does an exact phase past errors.DEFAULT_BUDGET_MS.  SearchExhaustedError
-    means every phase ran and failed, which proves no such avoider exists
-    when q <= MAX_EXACT_ORDER, exactly where exact_N answers.  The result is
-    a pure function of seed, and does not depend on it when
-    q <= MAX_EXACT_ORDER.
+    ValueError before the stabilizer is computed.  A target that needs
+    classes in a quotient above MAX_SEARCH_ORDER raises BudgetExceededError
+    before the quotient is built, and so does an exact phase past
+    errors.DEFAULT_BUDGET_MS.  SearchExhaustedError means every phase ran and
+    failed, which proves no such avoider exists when q <= MAX_EXACT_ORDER,
+    exactly where exact_N answers.  The result is a pure function of seed,
+    and does not depend on it when q <= MAX_EXACT_ORDER.
     """
     if pattern.bits == 0:
         raise EmptySetError("search needs a nonempty pattern")
@@ -103,16 +105,21 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
         raise ValueError(f"target size must lie in [0, {g}], got {target_size}")
     sub = stabilizer(pattern)
     q = g // sub.order
-    _check_order(q)
-    view = quotient_view(grp, sub)
-    negated = [grp.neg(a) for a in _bit_indices(pattern.bits & view.minima)]  # -(S/H)
-    minus = _close(grp, GroupSubset.from_indices(grp, negated).bits, view.pivots)
-    rotate = _rotation(grp)
-    elem_masks = [_ranks(view, rotate(minus, r) & view.minima) for r in view.representatives]
-    classes = _search(elem_masks, max(0, target_size - (g - q)), seed)
-    if classes < 0:
-        known = "exists" if q <= MAX_EXACT_ORDER else "found within budgets"
-        raise SearchExhaustedError(f"no avoiding set of size {target_size} {known}")
+    if target_size <= g - q:  # no class needed, no search
+        _check_verify_work(g, sub.order)  # before the quotient is built
+        view = quotient_view(grp, sub)
+        classes = 0
+    else:
+        _check_order(q)
+        view = quotient_view(grp, sub)
+        negated = [grp.neg(a) for a in _bit_indices(pattern.bits & view.minima)]  # -(S/H)
+        minus = _close(grp, GroupSubset.from_indices(grp, negated).bits, view.pivots)
+        rotate = _rotation(grp)
+        elem_masks = [_ranks(view, rotate(minus, r) & view.minima) for r in view.representatives]
+        classes = _search(elem_masks, target_size - (g - q), seed)
+        if classes < 0:
+            known = "exists" if q <= MAX_EXACT_ORDER else "found within budgets"
+            raise SearchExhaustedError(f"no avoiding set of size {target_size} {known}")
     bits = _lift(view, classes).bits
     if target_size < g - q:
         bits = _lowest(bits, target_size)

@@ -397,7 +397,7 @@ class GroupSubset(_Frozen):
         return GroupSubset(self.group, self.bits ^ ((1 << self.group.size) - 1))
 
     def __repr__(self) -> str:
-        return f"GroupSubset({self.group!r}, {{{', '.join(map(str, self.indices()))}}})"
+        return f"{type(self).__name__}({self.group!r}, {{{', '.join(map(str, self.indices()))}}})"
 
 
 class Subgroup(GroupSubset):
@@ -420,9 +420,6 @@ class Subgroup(GroupSubset):
     @property
     def order(self) -> int:
         return self.size
-
-    def __repr__(self) -> str:
-        return f"Subgroup({self.group!r}, {{{', '.join(map(str, self.indices()))}}})"
 
 
 @lru_cache(maxsize=512)

@@ -268,6 +268,21 @@ def test_construct_thm1_with_a_small_stabilizer_in_a_large_group():
     assert cert.size == 2**17
 
 
+def test_construct_thm1_is_search_avoider_at_its_size():
+    # One builder: thm1 is the search's lift of no class, and that lift is
+    # every H-coset minus its max flat index.
+    for n in range(1, 11):
+        for orders in presentations(n):
+            grp = Group(orders)
+            for pbits in range(1, 1 << n):
+                pattern = GroupSubset(grp, pbits)
+                sub = stabilizer(pattern).indices()
+                maxima = {max(grp.add(a, h) for h in sub) for a in grp.elements()}
+                cert = construct_thm1(pattern)
+                assert cert == search_avoider(pattern, n - n // len(sub)), (orders, pbits)
+                assert set(cert.avoiding_set.indices()) == set(range(n)) - maxima
+
+
 def test_construct_thm1_rejects_empty():
     with pytest.raises(EmptySetError):
         construct_thm1(GroupSubset.empty(Group([4])))
