@@ -8,27 +8,32 @@ and verify_avoids live in exact and are re-exported here.
 
 There is one avoider builder, search_avoider.  With H the pattern's
 stabilizer and q = |G/H|, an avoider of S/H in G/H lifts to one of g - q more
-elements in G, so it searches G/H: the complement of exact's greedy hitting
-set first, then a bounded exact solve when q <= exact.MAX_EXACT_ORDER (the
-quotients exact_N answers) and seeded random samples and repair on the
-others.  A target of at most g - q needs no class, so it searches nothing
-and MAX_SEARCH_ORDER does not apply: construct_thm1 is search_avoider at
-g - q, the lift of the empty class set.  construct_thm2 is search_avoider at
-the theorem-2 size, which the greedy always reaches, so it never draws from
-the seed.
+elements in G, so it searches G/H for the classes it needs.  It searches only
+a window, the lowest m classes, with m the fewest for which Chvatal's bound
+guarantees that the complement of exact's greedy hitting set of the
+translates inside the window keeps enough (_window): a class set inside the
+window that holds none of those translates holds none at all.  When the
+window is all of G/H and the greedy falls short, a bounded exact solve
+follows when q <= exact.MAX_EXACT_ORDER (the quotients exact_N answers), and
+seeded random samples and repair on the others.  A target of at most g - q
+needs no class, so it searches nothing and MAX_SEARCH_ORDER does not apply:
+construct_thm1 is search_avoider at g - q, the lift of the empty class set.
+construct_thm2 is search_avoider at the theorem-2 size, which the greedy
+always reaches, so it never draws from the seed.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from math import ceil, log
 
 from .bounds import thm2_lower
 from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, EmptySetError, SearchExhaustedError
 from .exact import MAX_EXACT_ORDER, Certificate, certify, verify_avoids
 from .exact import _check_verify_work, _element_sets, _greedy_hitting_set, _solve_hitting_set
 from .groups import GroupSubset, _bit_indices, _close, _lift, _ranks, _rotation
-from .groups import quotient_view, stabilizer
+from .groups import preimage_subset, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -80,7 +85,10 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     With H the pattern's stabilizer and q = |G/H|, class c's mask holds the
     translates of S/H at the classes of representatives[c] - S: the ranks of
     the coset minima in one kernel rotation of -S (the negated minima of S
-    closed under H's pivots), as exact_N ranks its family.
+    closed under H's pivots), as exact_N ranks its family.  Only the classes
+    of the window [0, m) get a mask (_window), and it keeps only the
+    translates inside the window: those t whose t + x lies in the window's
+    preimage for each of the k minima x of S, one rotation each.
     _search finds target_size - (g - q) classes avoiding S/H, and _lift adds
     every other coset minus its maximum.  A target of at most g - q needs no
     class: it lifts the empty class set, cut to the lowest target_size
@@ -105,23 +113,34 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
         raise ValueError(f"target size must lie in [0, {g}], got {target_size}")
     sub = stabilizer(pattern)
     q = g // sub.order
-    if target_size <= g - q:  # no class needed, no search
+    need = target_size - (g - q)  # classes to find
+    if need <= 0:  # no class needed, no search
         _check_verify_work(g, sub.order)  # before the quotient is built
         view = quotient_view(grp, sub)
         classes = 0
     else:
         _check_order(q)
         view = quotient_view(grp, sub)
-        negated = [grp.neg(a) for a in _bit_indices(pattern.bits & view.minima)]  # -(S/H)
-        minus = _close(grp, GroupSubset.from_indices(grp, negated).bits, view.pivots)
-        rotate = _rotation(grp)
-        elem_masks = [_ranks(view, rotate(minus, r) & view.minima) for r in view.representatives]
-        classes = _search(elem_masks, target_size - (g - q), seed)
+        minima = _bit_indices(pattern.bits & view.minima)  # S/H
+        m = _window(need, len(minima), q)
+        rotate, neg = _rotation(grp), grp.neg
+        inside = -1  # the translates inside the window [0, m), all when m = q
+        if m < q:
+            window = preimage_subset((1 << m) - 1, view).bits
+            for s in minima:
+                inside &= rotate(window, neg(s))
+            inside = _ranks(view, inside & view.minima)
+        minus = _close(grp, GroupSubset.from_indices(grp, map(neg, minima)).bits, view.pivots)
+        elem_masks = [
+            _ranks(view, rotate(minus, r) & view.minima) & inside
+            for r in view.representatives[:m]
+        ]
+        classes = _search(elem_masks, q, need, seed)
         if classes < 0:
             known = "exists" if q <= MAX_EXACT_ORDER else "found within budgets"
             raise SearchExhaustedError(f"no avoiding set of size {target_size} {known}")
     bits = _lift(view, classes).bits
-    if target_size < g - q:
+    if need < 0:
         bits = _lowest(bits, target_size)
     if bits.bit_count() != target_size:
         raise AssertionError(
@@ -130,22 +149,44 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     return certify(GroupSubset(grp, bits), pattern)
 
 
-def _search(elem_masks: list[int], target: int, seed: int) -> int:
-    """A target-element mask over [0, q) holding no translate, or -1.
+def _window(need: int, k: int, q: int) -> int:
+    """The number m of lowest classes whose greedy leaves need classes, by Chvatal's bound.
 
-    elem_masks[c] masks the translates, q of them, that hold element c.  The
-    greedy hitting set's complement comes first.  When it is too small, the
-    masks are transposed to one per translate.  With q <= MAX_EXACT_ORDER an
-    exact hitting-set solve bounded by q - target (and by time, as in
-    exact_N) then answers; larger quotients get uniform random subsets and
-    local repair of the last sample, the only steps that draw from the seed.
-    Surplus elements are trimmed from the top.
+    Each translate of S/H inside the classes [0, m) has k of them and each
+    class lies in at most k such translates, so the greedy hitting set of
+    those translates has at most H(k) m/k classes (Chvatal 1979) and leaves
+    m - H(k) m/k >= need once m >= need k/(k - H(k)).  That holds for
+    k >= 2 with H(k) < ln k + gamma + 1/(2k); the 1e-9 outweighs rounding,
+    so m can only come out large.  k = 1 gets all q classes.
+    """
+    if k < 2:
+        return q
+    return min(q, ceil(need * k / (k - (log(k) + 0.5772156649015329 + 0.5 / k + 1e-9))))
+
+
+def _search(elem_masks: list[int], n_sets: int, target: int, seed: int) -> int:
+    """A target-element mask over [0, len(elem_masks)) holding no translate, or -1.
+
+    elem_masks[c] masks the translates, n_sets of them, that hold element c
+    and lie inside the elements given.  The greedy hitting set's complement
+    comes first; on a window of fewer than n_sets elements it always reaches
+    the target (_window), and falling short there is a bug.  On all of them,
+    when the greedy is too small, the masks are transposed to one per
+    translate.  With q <= MAX_EXACT_ORDER an exact hitting-set solve bounded
+    by q - target (and by time, as in exact_N) then answers; larger
+    quotients get uniform random subsets and local repair of the last
+    sample, the only steps that draw from the seed.  Surplus elements are
+    trimmed from the top.
     """
     q = len(elem_masks)
     full = (1 << q) - 1
-    found = full ^ _greedy_hitting_set(elem_masks, q)
+    found = full ^ _greedy_hitting_set(elem_masks, n_sets)
     if found.bit_count() >= target:
         return _lowest(found, target)
+    if q < n_sets:
+        raise AssertionError(
+            f"greedy left {found.bit_count()} of {q} window classes, not {target}; this is a bug"
+        )
     masks = _element_sets(elem_masks, q)
     if q <= MAX_EXACT_ORDER:
         # B avoids every translate iff its complement hits every translate.
@@ -188,8 +229,9 @@ def construct_thm2(pattern: GroupSubset) -> Certificate:
     With k = |S/H|, that is g - q plus ceil(q**((k-1)/k)) - 1 classes, which
     the greedy always leaves: each class lies in k translates, so by Chvatal's
     bound it takes at most floor(H(k) q/k) classes, few enough for every
-    2 <= k < q <= MAX_SEARCH_ORDER (a test proves it), and the seed is never
-    drawn from.  The cap is checked before any root arithmetic.
+    2 <= k < q <= MAX_SEARCH_ORDER (a test proves it).  The search's window
+    keeps that guarantee (_window), so the seed is never drawn from.  The cap
+    is checked before any root arithmetic.
     """
     if pattern.bits == 0:
         raise EmptySetError("construction needs a nonempty pattern")

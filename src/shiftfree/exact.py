@@ -193,14 +193,18 @@ def _element_sets(set_bits: list[int], universe: int) -> list[int]:
 
 
 def _greedy_hitting_set(elem_sets: list[int], n_sets: int) -> int:
-    """Greedy hitting set of sets [0, n_sets), as a mask over the elements.
+    """Greedy hitting set of the sets among [0, n_sets) some element holds, as an element mask.
 
-    elem_sets[e] masks the sets element e holds.  Each step takes the element
+    elem_sets[e] masks the sets element e holds; a set none holds is left
+    unhit, so n_sets only names the family's size.  Each step takes the element
     hitting the most unhit sets, smallest index on ties.  Gains only fall, so
     a bucket queue files each element under its last gain, an upper bound,
     and one ascending pass over a level's bucket makes that level's picks.
+    It returns once every such set is hit: no pick can follow.
     """
-    uncovered = (1 << n_sets) - 1
+    uncovered = 0
+    for es in elem_sets:
+        uncovered |= es
     gains = [es.bit_count() for es in elem_sets]
     top = max(gains, default=0)
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
@@ -213,6 +217,8 @@ def _greedy_hitting_set(elem_sets: list[int], n_sets: int) -> int:
             if gain == level:
                 picked |= 1 << e
                 uncovered &= ~elem_sets[e]
+                if not uncovered:
+                    return picked
             else:
                 buckets[gain].append(e)
     return picked

@@ -41,6 +41,10 @@ ORDERS_UP_TO_10 = [
     [1], [2], [3], [4], [2, 2], [5], [6], [2, 3], [7], [8], [2, 4], [2, 2, 2],
     [9], [3, 3], [10], [2, 5],
 ]
+ORDERS_11_TO_16 = [
+    [11], [12], [2, 6], [3, 4], [2, 2, 3], [13], [14], [2, 7], [15], [3, 5],
+    [16], [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2],
+]
 
 
 def contains_translate_anywhere(candidate: GroupSubset, pattern: GroupSubset) -> bool:
@@ -368,6 +372,37 @@ def test_search_avoider_fallback_matches_naive_oracle():
     assert (checked, refused) == (3554, 1542)  # feasible and refused (pattern, target) pairs
 
 
+def test_search_avoider_window_matches_naive_scan():
+    # Every class target the window serves (construct._window below q): on
+    # one pattern per translation orbit in every group of order <= 12, and on
+    # 250 seeded random patterns in each group of order 13 to 16 (all orbits
+    # there take about 24 s on a 2-core x86 VM).  The avoider has the target
+    # size and holds none of the |G| translates, each built element by element.
+    rng = random.Random(30)
+    windowed = 0
+    for orders in ORDERS_UP_TO_10 + ORDERS_11_TO_16:
+        grp = Group(orders)
+        g = grp.size
+        patterns = range(1, 1 << g) if g <= 12 else [rng.randrange(1, 1 << g) for _ in range(250)]
+        seen = set()
+        for bits in patterns:
+            if bits in seen:
+                continue
+            pattern = GroupSubset(grp, bits)
+            translates = [pattern.translate(t).bits for t in range(g)]
+            seen.update(translates)
+            q = g // stabilizer(pattern).order
+            k = pattern.size * q // g  # |S/H|
+            need = 1
+            while construct._window(need, k, q) < q:
+                avoider = search_avoider(pattern, g - q + need).avoiding_set.bits
+                assert avoider.bit_count() == g - q + need
+                assert all(t & ~avoider for t in translates), (orders, bits, need)
+                windowed += 1
+                need += 1
+    assert windowed == 29678
+
+
 def test_search_avoider_keeps_its_random_bits_above_the_greedy(monkeypatch):
     # Above what the greedy complement reaches, a trivial stabilizer gives
     # the bits the search gave when it ran on G's own translates: sha256 of
@@ -517,6 +552,25 @@ def test_construct_thm2_trivial_stabilizer_is_pure_search(monkeypatch):
     assert cert.size == ceil_root_power(10, 2, 3) - 1
 
 
+def test_construct_thm2_ranks_only_its_window(monkeypatch):
+    # Z2 x Z16384 modulo H = Z2 (S/H = {0, 1, 5}, q = 16384) needs 645
+    # classes: the window is 1,672 classes, so the search ranks 1,672 class
+    # masks and one mask of the translates inside the window, not q masks.
+    calls = 0
+    ranks = construct._ranks
+
+    def counted(view, minima):
+        nonlocal calls
+        calls += 1
+        return ranks(view, minima)
+
+    monkeypatch.setattr(construct, "_ranks", counted)
+    pattern = GroupSubset.from_indices(Group([2, 16384]), [0, 1, 2, 3, 10, 11])
+    cert = construct_thm2(pattern)
+    assert cert.verified and cert.size == 32768 - 16384 + 645
+    assert calls <= 2000
+
+
 def test_construct_thm2_size_formula_random_instances():
     rng = random.Random(31)
     for orders in ([12], [16], [2, 8], [18], [4, 6], [2, 2, 6]):
@@ -597,7 +651,7 @@ def test_construct_thm2_pinned_outputs():
     cert = construct_thm2(coset_union(Group([2024]), 253, [0, 1, 2]))
     assert cert.size == 1811
     digest = hashlib.sha256(cert.avoiding_set.bits.to_bytes(253, "little")).hexdigest()
-    assert digest == "6a5d489022c37e4b2c004bda0c54673013526a4d2f1b9c1f58fed42c3839ac36"
+    assert digest == "176e495078fc7756b2a5a52c0b6ea3f3b040963b82af8a39eba4601bc8fb65b4"
 
 
 def test_construct_thm2_is_deterministic():
@@ -674,6 +728,55 @@ def test_thm2_greedy_leaves_room_for_the_target():
     assert len(integral) == 5560 and max(k for _, k in integral) == 8
     for q, k in [(4, 2)] + integral:
         assert harmonic[k] * q // k <= q - ceil_root_power(q, k - 1, k) + 1, (q, k)
+
+
+def test_window_leaves_room_for_the_target(monkeypatch):
+    # For every 2 <= k < q <= MAX_SEARCH_ORDER and thm2's need
+    # ceil(q**((k-1)/k)) - 1, the window m = construct._window(need, k, q)
+    # has m <= q and m - floor(H(k) m/k) >= need, so the greedy on it leaves
+    # the target; and where m < q, Chvatal's bound itself holds:
+    # m - H(k) m/k >= need.  _window runs on whole rows of q, with numpy's
+    # ceil and minimum in place of math's and the builtin's.
+    #
+    # Floats: need is exact (a root within 1e-6 of an integer is taken by
+    # ceil_root_power).  H(k) m/k is off by less than 2**-52 * H(k) * m plus
+    # a few units in the last place of values below 2**15, under 1e-10.  The
+    # floor test needs H(k) m/k < m - need + 1 and the bound test
+    # H(k) m/k <= m - need; margins of 1e-3 and 1e-9 cannot be flipped.
+    cap = construct.MAX_SEARCH_ORDER
+    harmonic = np.cumsum(1.0 / np.arange(1, cap + 1))  # harmonic[k - 1] = H(k)
+    with monkeypatch.context() as m:
+        m.setattr(construct, "ceil", np.ceil)
+        m.setattr(construct, "min", np.minimum, raising=False)
+        floor_margin = bound_margin = np.inf
+        for k in range(2, cap):
+            q = np.arange(k + 1, cap + 1)
+            root = q ** ((k - 1) / k)
+            need = np.ceil(root) - 1
+            for i in np.flatnonzero(np.abs(root - np.rint(root)) < 1e-6):
+                need[i] = ceil_root_power(int(q[i]), k - 1, k) - 1
+            window = construct._window(need, k, q)
+            assert (window <= q).all(), k
+            taken = harmonic[k - 1] * window / k  # Chvatal: the greedy takes at most this
+            floor_margin = min(floor_margin, (window - need + 1 - taken).min())
+            inside = window < q
+            if inside.any():
+                bound_margin = min(bound_margin, (window - need - taken)[inside].min())
+    assert floor_margin >= 1e-3 and bound_margin >= 1e-9, (floor_margin, bound_margin)
+    # Exact: every pair whose window m < q makes H(k) m/k an integer (k <= 8,
+    # as in test_thm2_greedy_leaves_room_for_the_target), through _window
+    # itself.
+    exact = 0
+    for k in range(2, 9):
+        h_k = sum(Fraction(1, j) for j in range(1, k + 1))
+        step = (h_k / k).denominator
+        for q in range(k + 1, cap + 1):
+            need = ceil_root_power(q, k - 1, k) - 1
+            window = construct._window(need, k, q)
+            if window < q and window % step == 0:
+                assert window - h_k * window / k >= need, (q, k)
+                exact += 1
+    assert exact == 5641
 
 
 def test_construct_thm2_rejects_empty():

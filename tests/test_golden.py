@@ -24,8 +24,8 @@ from workloads import stream  # noqa: E402
 # where the certified sets leave _bit_indices by its dense pass.
 GOLDEN = {
     "exact-cap": (200, "db85f8cd525a4f3d181940799dcb5e987d4aff75f5744e495d7af1cac2c97cfd"),
-    "coset-construct": (200, "76986ba22f27f6c5fa655923c8e0f44f901d38c07096cb76da8b860b3d6bd527"),
-    "large-order": (100, "8348e18acc32125b868bc9518b5bda9cfcc7db484290368a3e9eac39ca444829"),
+    "coset-construct": (200, "ec21326754026c4ff12b1f13486ea1d0a14557c606d1c938603694425bb54fa9"),
+    "large-order": (100, "c3f44bf082883463834808dad2d637795c353075e391cb438cef7e0dea1a73dd"),
 }
 
 
