@@ -5,8 +5,9 @@ either an explicit list "{0, 1, 5}" (coordinate tuples like "(1,1)" allowed)
 or, for cyclic groups, a coset union "cosets(order=8; reps=0,1)".  Output is
 text, json, or csv (csv for the table command only); the machine-readable
 document goes to stdout, diagnostics to stderr.  Exit codes: 0 success or
-verified, 1 usage or parse failure, 2 verification failed, 3 budget exceeded
-(including out of memory), 4 search exhausted, 5 internal error.
+verified, 1 usage or parse failure (or stdout closed early), 2 verification
+failed, 3 budget exceeded (including out of memory), 4 search exhausted, 5
+internal error.
 
 Each command's positionals and options are declared once, as data, in
 COMMANDS.  A well-formed call is read straight from that table and builds no
@@ -662,4 +663,18 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """The console entry point: main's exit code, or 1 once stdout is closed.
+
+    Stdout is flushed inside the try, so the interpreter's own flush at exit
+    finds nothing left.  After a broken pipe stdout points at os.devnull, and
+    the process exits 1 with nothing on stderr.
+    """
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

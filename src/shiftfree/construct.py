@@ -8,14 +8,17 @@ and verify_avoids live in exact and are re-exported here.
 
 There is one avoider builder, search_avoider.  With H the pattern's
 stabilizer and q = |G/H|, an avoider of S/H in G/H lifts to one of g - q more
-elements in G, so it searches G/H for the classes it needs.  It searches only
-a window, the lowest m classes, with m the fewest for which Chvatal's bound
-guarantees that the complement of exact's greedy hitting set of the
-translates inside the window keeps enough (_window): a class set inside the
-window that holds none of those translates holds none at all.  When the
-window is all of G/H and the greedy falls short, a bounded exact solve
-follows when q <= exact.MAX_EXACT_ORDER (the quotients exact_N answers), and
-seeded random samples and repair on the others.  A target of at most g - q
+elements in G, so it searches G/H for the classes it needs.  The lowest
+classes come first: when no translate of S/H lies inside the lowest need
+classes (_inside, k kernel rotations), those classes are the answer, with no
+class mask and no greedy.  Otherwise it searches only a window, the lowest m
+classes, with m the fewest for which Chvatal's bound guarantees that the
+complement of exact's greedy hitting set of the translates inside the window
+keeps enough (_window): a class set inside the window that holds none of
+those translates holds none at all.  When the window is all of G/H and the
+greedy falls short, a bounded exact solve follows when
+q <= exact.MAX_EXACT_ORDER (the quotients exact_N answers), and seeded random
+samples and repair on the others.  A target of at most g - q
 needs no class, so it searches nothing and MAX_SEARCH_ORDER does not apply:
 construct_thm1 is search_avoider at g - q, the lift of the empty class set.
 construct_thm2 is search_avoider at the theorem-2 size, which the greedy
@@ -27,13 +30,14 @@ from __future__ import annotations
 import random
 import time
 from math import ceil, log
+from typing import Callable
 
 from .bounds import thm2_lower
 from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, EmptySetError, SearchExhaustedError
 from .exact import MAX_EXACT_ORDER, Certificate, certify, verify_avoids
 from .exact import _check_verify_work, _element_sets, _greedy_hitting_set, _solve_hitting_set
 from .groups import GroupSubset, _bit_indices, _close, _lift, _ranks, _rotation
-from .groups import preimage_subset, quotient_view, stabilizer
+from .groups import Quotient, preimage_subset, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -85,14 +89,16 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     With H the pattern's stabilizer and q = |G/H|, class c's mask holds the
     translates of S/H at the classes of representatives[c] - S: the ranks of
     the coset minima in one kernel rotation of -S (the negated minima of S
-    closed under H's pivots), as exact_N ranks its family.  Only the classes
-    of the window [0, m) get a mask (_window), and it keeps only the
-    translates inside the window: those t whose t + x lies in the window's
-    preimage for each of the k minima x of S, one rotation each.
-    _search finds target_size - (g - q) classes avoiding S/H, and _lift adds
-    every other coset minus its maximum.  A target of at most g - q needs no
-    class: it lifts the empty class set, cut to the lowest target_size
-    elements, and builds no mask.
+    closed under H's pivots), as exact_N ranks its family.  First, when no
+    translate of S/H lies inside the lowest need = target_size - (g - q)
+    classes (_inside: no t with t + x in their preimage for each of the k
+    minima x of S, one rotation each), those classes are the answer and no
+    mask is built.  Otherwise only the classes of the window [0, m) get a
+    mask (_window), and it keeps only the translates inside the window, by
+    the same k rotations of the window's preimage.  _search finds need
+    classes avoiding S/H, and _lift adds every other coset minus its
+    maximum.  A target of at most g - q needs no class: it lifts the empty
+    class set, cut to the lowest target_size elements, and builds no mask.
     A translate of the pattern is a union of H-cosets, so it fits in the lift
     only if all its classes were found.  A bad seed or target_size raises
     ValueError before the stabilizer is computed.  A target that needs
@@ -122,23 +128,23 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
         _check_order(q)
         view = quotient_view(grp, sub)
         minima = _bit_indices(pattern.bits & view.minima)  # S/H
-        m = _window(need, len(minima), q)
         rotate, neg = _rotation(grp), grp.neg
-        inside = -1  # the translates inside the window [0, m), all when m = q
-        if m < q:
-            window = preimage_subset((1 << m) - 1, view).bits
-            for s in minima:
-                inside &= rotate(window, neg(s))
-            inside = _ranks(view, inside & view.minima)
-        minus = _close(grp, GroupSubset.from_indices(grp, map(neg, minima)).bits, view.pivots)
-        elem_masks = [
-            _ranks(view, rotate(minus, r) & view.minima) & inside
-            for r in view.representatives[:m]
-        ]
-        classes = _search(elem_masks, q, need, seed)
-        if classes < 0:
-            known = "exists" if q <= MAX_EXACT_ORDER else "found within budgets"
-            raise SearchExhaustedError(f"no avoiding set of size {target_size} {known}")
+        if need < q and not _inside(view, minima, need, rotate):
+            classes = (1 << need) - 1  # the lowest need classes hold no translate
+        else:
+            m = _window(need, len(minima), q)
+            inside = -1  # the translates inside the window [0, m), all when m = q
+            if m < q:
+                inside = _ranks(view, _inside(view, minima, m, rotate) & view.minima)
+            minus = _close(grp, GroupSubset.from_indices(grp, map(neg, minima)).bits, view.pivots)
+            elem_masks = [
+                _ranks(view, rotate(minus, r) & view.minima) & inside
+                for r in view.representatives[:m]
+            ]
+            classes = _search(elem_masks, q, need, seed)
+            if classes < 0:
+                known = "exists" if q <= MAX_EXACT_ORDER else "found within budgets"
+                raise SearchExhaustedError(f"no avoiding set of size {target_size} {known}")
     bits = _lift(view, classes).bits
     if need < 0:
         bits = _lowest(bits, target_size)
@@ -147,6 +153,23 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
             f"search built {bits.bit_count()} elements, not {target_size}; this is a bug"
         )
     return certify(GroupSubset(grp, bits), pattern)
+
+
+def _inside(view: Quotient, minima: list[int], m: int, rotate: Callable[[int, int], int]) -> int:
+    """The elements t with t + x in the lowest m classes for each minimum x of S.
+
+    One kernel rotation of the classes' preimage per minimum, stopping once
+    none is left: a union of H-cosets, one per translate of S/H lying inside
+    those classes.
+    """
+    neg = view.base.neg
+    window = preimage_subset((1 << m) - 1, view).bits
+    inside = -1
+    for s in minima:
+        inside &= rotate(window, neg(s))
+        if not inside:
+            break
+    return inside
 
 
 def _window(need: int, k: int, q: int) -> int:

@@ -1034,3 +1034,29 @@ def test_package_has_no_runtime_numpy_and_exports_resolve():
     assert not any("numpy" in dep for dep in project["dependencies"])
     for name in shiftfree.__all__:
         assert hasattr(shiftfree, name), name
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "Z6", "{0,1}"], ["construct", "Z16384", "{0,1,5}", "--method", "thm1"]],
+)
+def test_closed_stdout_exits_one_without_a_traceback(argv, unbuffered):
+    # The read end is closed before the child starts, so its first write (or
+    # the flush in run) meets a broken pipe.
+    src = Path(shiftfree.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftfree", *argv],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""  # no Traceback and no "Exception ignored" line

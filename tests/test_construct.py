@@ -403,6 +403,70 @@ def test_search_avoider_window_matches_naive_scan():
     assert windowed == 29678
 
 
+def test_search_avoider_lifts_the_lowest_classes_when_they_hold_no_translate():
+    # Every class target from 1 to q, on one pattern per translation orbit in
+    # every group of order <= 12 and on 250 seeded random patterns in each
+    # group of order 13 to 16 (all orbits there take about 23 s on a 2-core
+    # x86 VM).  Classes are the H-cosets in order of their least element, built
+    # element by element.  Every avoider has the target size and holds none of
+    # the |G| translates; where none of them lies inside the preimage of the
+    # lowest need classes, the avoider is that preimage plus every other coset
+    # minus its largest element.
+    rng = random.Random(32)
+    found = lowest = refused = 0
+    for orders in ORDERS_UP_TO_10 + ORDERS_11_TO_16:
+        grp = Group(orders)
+        g = grp.size
+        patterns = range(1, 1 << g) if g <= 12 else [rng.randrange(1, 1 << g) for _ in range(250)]
+        seen = set()
+        for bits in patterns:
+            if bits in seen:
+                continue
+            pattern = GroupSubset(grp, bits)
+            translates = [pattern.translate(t).bits for t in range(g)]
+            seen.update(translates)
+            members = stabilizer(pattern).indices()
+            cosets = {}
+            for x in range(g):
+                coset = {grp.add(x, y) for y in members}
+                cosets[min(coset)] = coset
+            classes = [cosets[c] for c in sorted(cosets)]
+            q = len(classes)
+            preimage = 0
+            for need in range(1, q + 1):
+                preimage |= sum(1 << x for x in classes[need - 1])
+                target = g - q + need
+                try:
+                    avoider = search_avoider(pattern, target).avoiding_set.bits
+                except SearchExhaustedError:
+                    refused += 1
+                    continue
+                assert avoider.bit_count() == target
+                assert all(t & ~avoider for t in translates), (orders, bits, need)
+                found += 1
+                if all(t & ~preimage for t in translates):
+                    lift = preimage | sum(1 << x for c in classes[need:] for x in c if x != max(c))
+                    assert avoider == lift, (orders, bits, need)
+                    lowest += 1
+    assert (found, lowest, refused) == (43832, 39003, 14036)
+
+
+def test_construct_thm2_greedy_calls(monkeypatch):
+    # The greedy runs only when the lowest classes the target needs hold a
+    # translate of S/H.
+    greedy, calls = construct._greedy_hitting_set, []
+
+    def counted(*args):
+        calls.append(args)
+        return greedy(*args)
+
+    monkeypatch.setattr(construct, "_greedy_hitting_set", counted)
+    cert = construct_thm2(GroupSubset.from_indices(Group([1000]), [0, 150, 200]))
+    assert cert.avoiding_set.indices() == list(range(99)) and not calls  # q = 1000, 99 classes
+    cert = construct_thm2(GroupSubset.from_indices(Group([1024]), [0, 1, 5]))
+    assert cert.size == 101 and len(calls) == 1  # {0, 1, 5} fits in the lowest 101 classes
+
+
 def test_search_avoider_keeps_its_random_bits_above_the_greedy(monkeypatch):
     # Above what the greedy complement reaches, a trivial stabilizer gives
     # the bits the search gave when it ran on G's own translates: sha256 of
@@ -641,13 +705,14 @@ def test_construct_thm2_whole_classes_avoid_exhaustive():
 
 
 def test_construct_thm2_pinned_outputs():
-    # The greedy complement trimmed from the top.  On the first two these
-    # are the bits the earlier seeded search's hitting-set fallback gave,
-    # which trimmed the complement of the same greedy incumbent.
+    # The greedy complement trimmed from the top, except on the union, whose
+    # lowest three classes hold no translate of S/H and are lifted as they
+    # are.  On the first this is the bits the earlier seeded search's
+    # hitting-set fallback gave, which trimmed the same greedy complement.
     two_factor = GroupSubset.from_indices(Group([3, 4]), [0, 1, 5])  # trivial H
     union = coset_union(Group([12]), 6, [0, 1, 3])  # H = {0, 6}
     assert construct_thm2(two_factor).avoiding_set.bits == 182  # {1, 2, 4, 5, 7}
-    assert construct_thm2(union).avoiding_set.bits == 3647  # {0..5, 9, 10, 11}
+    assert construct_thm2(union).avoiding_set.bits == 511  # {0..8}
     cert = construct_thm2(coset_union(Group([2024]), 253, [0, 1, 2]))
     assert cert.size == 1811
     digest = hashlib.sha256(cert.avoiding_set.bits.to_bytes(253, "little")).hexdigest()

@@ -24,8 +24,8 @@ from workloads import stream  # noqa: E402
 # where the certified sets leave _bit_indices by its dense pass.
 GOLDEN = {
     "exact-cap": (200, "db85f8cd525a4f3d181940799dcb5e987d4aff75f5744e495d7af1cac2c97cfd"),
-    "coset-construct": (200, "ec21326754026c4ff12b1f13486ea1d0a14557c606d1c938603694425bb54fa9"),
-    "large-order": (100, "c3f44bf082883463834808dad2d637795c353075e391cb438cef7e0dea1a73dd"),
+    "coset-construct": (200, "9cd9ccf59f498ee6b96b5ad84dc82355cf59588f76914692104f704c37c552d0"),
+    "large-order": (100, "b3b2c8c44cbc77e0351457a0778b51c772a0893627ca19e812425d266414bdc2"),
 }
 
 
