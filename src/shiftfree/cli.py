@@ -26,7 +26,8 @@ a converter's error path.  Each command handler imports the solver it runs
 loaded: no table field needs quoting, so table --format csv joins its rows.
 
 JSON documents are written by _json, which gives the bytes of
-json.dumps(doc, indent=2) and joins each list of plain ints in one call.
+json.dumps(doc, indent=2), writes each list of plain ints with one %-format
+call and each int, str, None or bool scalar directly.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ if TYPE_CHECKING:
 __all__ = ["main", "run", "parse_group", "format_group", "parse_set"]
 
 _GROUP_RE = re.compile(r"^[Zz][0-9]+(?:[xX][Zz][0-9]+)*$")
-# Flat indices in ASCII digits, separated by commas and ASCII whitespace:
-# exactly the bodies whose items int() reads as the loop below does.
-_FLAT_BODY_RE = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*", re.ASCII)
+# Deletes ASCII digits, commas and ASCII whitespace.  A body it empties is
+# made of those characters only, so int() reads each of its items as the loop
+# below does, or refuses it (an empty item, digits split by a space), and the
+# loop words that refusal.
+_FLAT_BODY_SCREEN = str.maketrans("", "", "0123456789, \t\n\r\x0b\x0c")
 _COSETS_RE = re.compile(
     r"^cosets\(\s*order\s*=\s*([0-9]+)\s*;\s*reps\s*=\s*([0-9,\s]+)\)$", re.IGNORECASE
 )
@@ -98,10 +101,10 @@ def _parse_explicit(text: str, group: Group) -> GroupSubset:
     body = text[1:-1].strip()
     if not body:
         return GroupSubset.empty(group)
-    if _FLAT_BODY_RE.fullmatch(body):
+    if not body.translate(_FLAT_BODY_SCREEN):
         try:
             indices = list(map(int, body.split(",")))
-        except ValueError:  # a number over int()'s digit limit, worded below
+        except ValueError:  # a malformed item or a number over int()'s digit limit
             pass
         else:
             return GroupSubset.from_indices(group, indices)
@@ -334,7 +337,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.target is None:
         raise ParseError("--method search requires --target")
     else:
-        cert = search_avoider(subset, args.target, seed=args.seed)
+        cert = search_avoider(subset, args.target, seed=args.seed, budget_ms=args.budget_ms)
     doc |= {
         "certificate": {
             "method": args.method,
@@ -434,7 +437,8 @@ def _json(doc, pad: str = "\n") -> str:
     """json.dumps(doc, indent=2) for documents with str keys, written without its generator.
 
     json.dumps with an indent runs the pure-Python encoder, one generator
-    step per list item; a list of plain ints is joined here in one call.
+    step per list item; a list of plain ints is written here by one
+    %-format call, and int, str, None and bool scalars directly.
     """
     inner = pad + "  "
     if isinstance(doc, dict):
@@ -446,12 +450,18 @@ def _json(doc, pad: str = "\n") -> str:
         if not doc:
             return "[]"
         if set(map(type, doc)) == {int}:  # bool is not int here: it prints as true/false
-            items = map(int.__repr__, doc)
-        else:
-            items = [_json(v, inner) for v in doc]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if type(doc) is int:  # the common scalar; json.dumps builds an encoder per call
+            template = "[" + inner + ("%d," + inner) * (len(doc) - 1) + "%d" + pad + "]"
+            return template % tuple(doc)
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in doc]) + pad + "]"
+    # The common scalars; json.dumps builds an encoder per call.
+    if type(doc) is int:
         return int.__repr__(doc)
+    if type(doc) is str:
+        return encode_basestring_ascii(doc)
+    if doc is None:
+        return "null"
+    if doc is True or doc is False:
+        return "true" if doc else "false"
     return json.dumps(doc)
 
 
@@ -521,6 +531,10 @@ class Command(NamedTuple):
 
 
 _FORMAT = Option("--format", choices=("text", "json", "csv"), default="text")
+# construct's default, None, leaves the search its own (errors.DEFAULT_BUDGET_MS).
+_BUDGET = Option(
+    "--budget-ms", _budget, help="wall-clock budget for the exact solver in milliseconds"
+)
 _PATTERN = ("group", "set")
 
 # Every command, in help order; the only place its arguments are declared.
@@ -530,15 +544,7 @@ COMMANDS = {
     "exact": Command(
         "exact N by hitting-set solve",
         _PATTERN,
-        (
-            _FORMAT,
-            Option(
-                "--budget-ms",
-                _budget,
-                default=DEFAULT_BUDGET_MS,
-                help="wall-clock budget for the exact solver in milliseconds",
-            ),
-        ),
+        (_FORMAT, _BUDGET._replace(default=DEFAULT_BUDGET_MS)),
         _cmd_exact,
     ),
     "construct": Command(
@@ -549,6 +555,7 @@ COMMANDS = {
             Option("--method", choices=("thm1", "thm2", "search"), default="thm2"),
             Option("--target", _target, help="avoider size for --method search"),
             Option("--seed", _seed, default=0, help="seed for --method search only"),
+            _BUDGET,
         ),
         _cmd_construct,
     ),

@@ -83,7 +83,9 @@ def _lowest(bits: int, count: int) -> int:
     return bits if count >= len(positions) else bits & ((1 << positions[count]) - 1)
 
 
-def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> Certificate:
+def search_avoider(
+    pattern: GroupSubset, target_size: int, *, seed: int = 0, budget_ms: int | None = None
+) -> Certificate:
     """Find a verified avoiding set of exactly target_size elements.
 
     With H the pattern's stabilizer and q = |G/H|, class c's mask holds the
@@ -103,11 +105,12 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
     only if all its classes were found.  A bad seed or target_size raises
     ValueError before the stabilizer is computed.  A target that needs
     classes in a quotient above MAX_SEARCH_ORDER raises BudgetExceededError
-    before the quotient is built, and so does an exact phase past
-    errors.DEFAULT_BUDGET_MS.  SearchExhaustedError means every phase ran and
-    failed, which proves no such avoider exists when q <= MAX_EXACT_ORDER,
-    exactly where exact_N answers.  The result is a pure function of seed,
-    and does not depend on it when q <= MAX_EXACT_ORDER.
+    before the quotient is built, and so does an exact phase past budget_ms
+    milliseconds (errors.DEFAULT_BUDGET_MS when None).  SearchExhaustedError
+    means every phase ran and failed, which proves no such avoider exists
+    when q <= MAX_EXACT_ORDER, exactly where exact_N answers.  The result is
+    a pure function of seed, and does not depend on it when
+    q <= MAX_EXACT_ORDER.
     """
     if pattern.bits == 0:
         raise EmptySetError("search needs a nonempty pattern")
@@ -141,7 +144,7 @@ def search_avoider(pattern: GroupSubset, target_size: int, *, seed: int = 0) -> 
                 _ranks(view, rotate(minus, r) & view.minima) & inside
                 for r in view.representatives[:m]
             ]
-            classes = _search(elem_masks, q, need, seed)
+            classes = _search(elem_masks, q, need, seed, budget_ms)
             if classes < 0:
                 known = "exists" if q <= MAX_EXACT_ORDER else "found within budgets"
                 raise SearchExhaustedError(f"no avoiding set of size {target_size} {known}")
@@ -187,7 +190,9 @@ def _window(need: int, k: int, q: int) -> int:
     return min(q, ceil(need * k / (k - (log(k) + 0.5772156649015329 + 0.5 / k + 1e-9))))
 
 
-def _search(elem_masks: list[int], n_sets: int, target: int, seed: int) -> int:
+def _search(
+    elem_masks: list[int], n_sets: int, target: int, seed: int, budget_ms: int | None
+) -> int:
     """A target-element mask over [0, len(elem_masks)) holding no translate, or -1.
 
     elem_masks[c] masks the translates, n_sets of them, that hold element c
@@ -196,10 +201,10 @@ def _search(elem_masks: list[int], n_sets: int, target: int, seed: int) -> int:
     the target (_window), and falling short there is a bug.  On all of them,
     when the greedy is too small, the masks are transposed to one per
     translate.  With q <= MAX_EXACT_ORDER an exact hitting-set solve bounded
-    by q - target (and by time, as in exact_N) then answers; larger
-    quotients get uniform random subsets and local repair of the last
-    sample, the only steps that draw from the seed.  Surplus elements are
-    trimmed from the top.
+    by q - target (and by budget_ms, DEFAULT_BUDGET_MS when None, as in
+    exact_N) then answers; larger quotients get uniform random subsets and
+    local repair of the last sample, the only steps that draw from the seed.
+    Surplus elements are trimmed from the top.
     """
     q = len(elem_masks)
     full = (1 << q) - 1
@@ -213,7 +218,8 @@ def _search(elem_masks: list[int], n_sets: int, target: int, seed: int) -> int:
     masks = _element_sets(elem_masks, q)
     if q <= MAX_EXACT_ORDER:
         # B avoids every translate iff its complement hits every translate.
-        deadline = time.monotonic_ns() + DEFAULT_BUDGET_MS * 1_000_000
+        budget_ms = DEFAULT_BUDGET_MS if budget_ms is None else budget_ms
+        deadline = time.monotonic_ns() + budget_ms * 1_000_000
         size, hitting, _ = _solve_hitting_set(masks, q, deadline, q - target)
         return _lowest(full ^ hitting, target) if size <= q - target else -1
 

@@ -429,7 +429,8 @@ def stabilizer(subset: GroupSubset) -> Subgroup:
     S and G - S have the same stabilizer, so the work runs on the smaller of
     the two; S = G has the whole group as stabilizer and needs no translate.
     The mask M is the intersection of the difference sets S - x over x in S
-    taken so far: h + S = S holds iff h + x lands in S for every x (the two
+    taken so far (x = 0, which can only come first, takes S itself with no
+    translate): h + S = S holds iff h + x lands in S for every x (the two
     sides have equal size, so containment suffices), so M always contains H
     and equals it once every x is taken.  The loop exits early once M is
     proven to be H: M's order divides |G| and |S|, and generators taken
@@ -454,7 +455,7 @@ def stabilizer(subset: GroupSubset) -> Subgroup:
     neg = grp.neg
     mask, rotate = full, None
     for x in members:
-        shrunk = mask & subset.translate(neg(x)).bits
+        shrunk = mask & (subset.translate(neg(x)).bits if x else bits)
         if shrunk == mask:
             continue
         mask = shrunk

@@ -368,6 +368,20 @@ def test_construct_search_over_budget_exits_three(monkeypatch):
     assert out == "" and err.startswith("error:")
 
 
+def test_construct_budget_bounds_the_search_exact_phase():
+    # The exact phase runs 2,892 nodes and proves that no avoider of 23
+    # exists; a 1 ms budget runs out at the first deadline check (every
+    # 1,024 nodes).  A target it settles prints the same with any budget.
+    argv = ["construct", "Z30", "{0,2,6,16,21,23}", "--method", "search", "--target"]
+    assert run_cli(argv + ["23"])[0] == 4
+    code, out, err = run_cli(argv + ["23", "--budget-ms", "1"])
+    assert code == 3
+    assert out == "" and "budget" in err
+    settled = run_cli(argv + ["22"])
+    assert settled[0] == 0
+    assert run_cli(argv + ["22", "--budget-ms", "60000"])[1] == settled[1]
+
+
 def test_construct_over_search_cap_exits_three():
     # thm2 searches the quotient, here all of Z1048576: refused before the
     # quotient or any translate mask is built.
@@ -665,6 +679,18 @@ def test_explicit_reader_matches_the_item_loop(orders):
         ), text
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789, \t\n\x0b\x0c\r\x1c\xa0_+-\u0661", max_size=12))
+def test_explicit_reader_matches_the_item_loop_on_random_bodies(body):
+    # The flat screen's characters, the whitespace it leaves to the item
+    # loop, and the characters int() takes that a spec number may not hold.
+    text = "{" + body + "}"
+    for grp in (Group([12]), Group([2, 6])):
+        assert parse_outcome(parse_set, text, grp) == parse_outcome(
+            explicit_reference, text, grp
+        )
+
+
 def test_flat_explicit_spec_takes_one_pass(monkeypatch):
     def refused(body):
         raise AssertionError("item loop ran on a flat spec")
@@ -724,7 +750,9 @@ def test_usage_errors_exit_one():
     ):
         code, out, err = run_cli(construct + [option, value])
         assert (code, out) == (1, ""), (option, value)
-        assert f"argument {option}: " in err and len(err.encode()) < 300
+        # argparse's usage lines come first; construct's list every option.
+        message = err.splitlines()[-1]
+        assert message.startswith(f"error: argument {option}: ") and len(message.encode()) < 300
     code, out, err = run_cli(["exact", "Z6", "{0,1}", "--budget-ms", "\u0665"])
     assert (code, out) == (1, "")
     assert "argument --budget-ms: " in err and len(err.encode()) < 300
@@ -761,7 +789,7 @@ def test_overlong_numbers_are_parse_errors():
 def test_flags_only_on_the_command_that_reads_them():
     assert run_cli(["bounds", "Z6", "{0,1}", "--seed", "1"])[0] == 1
     assert run_cli(["exact", "Z6", "{0,1}", "--seed", "1"])[0] == 1
-    assert run_cli(["construct", "Z6", "{0,1}", "--budget-ms", "5"])[0] == 1
+    assert run_cli(["verify", "Z6", "{0,1}", "{0}", "--budget-ms", "5"])[0] == 1
     assert run_cli(["table", "--budget-ms", "5"])[0] == 1
 
 

@@ -331,6 +331,7 @@ def test_stabilizer_translate_calls(monkeypatch):
     union = 0
     for r in range(250):
         union |= coset.translate(r).bits
+    low = coset.bits | coset.translate(1).bits | coset.translate(2).bits
     z4096 = Group([4096])
     sparse = sorted(random.Random(7).sample(range(4096), 40))
     # H is trivial, so the loop stops at the first x (ascending) after
@@ -348,6 +349,11 @@ def test_stabilizer_translate_calls(monkeypatch):
     # 2000 elements: the stabilizer runs on the 3 cosets outside them.
     assert stabilizer(GroupSubset(z2024, union)).order == 8
     assert len(calls) == 3
+    calls.clear()
+    # The same three cosets at reps 0, 1 and 2: x = 0 takes S itself, and
+    # x = 1 and x = 2 leave the coset of 0.
+    assert stabilizer(GroupSubset(z2024, low)).order == 8
+    assert len(calls) == 2
     calls.clear()
     assert stabilizer(GroupSubset.from_indices(z4096, sparse)).order == 1
     assert len(calls) == steps
