@@ -515,6 +515,7 @@ class Option(NamedTuple):
     choices: Optional[tuple[str, ...]] = None
     default: object = None
     help: Optional[str] = None
+    metavar: Optional[str] = None
 
     @property
     def dest(self) -> str:
@@ -533,7 +534,10 @@ class Command(NamedTuple):
 _FORMAT = Option("--format", choices=("text", "json", "csv"), default="text")
 # construct's default, None, leaves the search its own (errors.DEFAULT_BUDGET_MS).
 _BUDGET = Option(
-    "--budget-ms", _budget, help="wall-clock budget for the exact solver in milliseconds"
+    "--budget-ms",
+    _budget,
+    help="wall-clock budget for the exact solver in milliseconds",
+    metavar="N",
 )
 _PATTERN = ("group", "set")
 

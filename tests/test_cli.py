@@ -369,14 +369,18 @@ def test_construct_search_over_budget_exits_three(monkeypatch):
 
 
 def test_construct_budget_bounds_the_search_exact_phase():
-    # The exact phase runs 2,892 nodes and proves that no avoider of 23
-    # exists; a 1 ms budget runs out at the first deadline check (every
-    # 1,024 nodes).  A target it settles prints the same with any budget.
-    argv = ["construct", "Z30", "{0,2,6,16,21,23}", "--method", "search", "--target"]
-    assert run_cli(argv + ["23"])[0] == 4
-    code, out, err = run_cli(argv + ["23", "--budget-ms", "1"])
+    # Z63's exact phase needs about 32 s to prove that no avoider of 49
+    # exists, so a 1 ms budget runs out at a deadline check (every 1,024
+    # nodes) however fast the host.  Z30's proves no avoider of 23 in 2,892
+    # nodes, under the default budget or a generous one, and a target it
+    # settles prints the same with any budget.
+    code, out, err = run_cli(["construct", "Z63", "{0,1,9,14,50,56}", "--method", "search",
+                              "--target", "49", "--budget-ms", "1"])
     assert code == 3
     assert out == "" and "budget" in err
+    argv = ["construct", "Z30", "{0,2,6,16,21,23}", "--method", "search", "--target"]
+    assert run_cli(argv + ["23"])[0] == 4
+    assert run_cli(argv + ["23", "--budget-ms", "60000"])[0] == 4
     settled = run_cli(argv + ["22"])
     assert settled[0] == 0
     assert run_cli(argv + ["22", "--budget-ms", "60000"])[1] == settled[1]
@@ -750,9 +754,7 @@ def test_usage_errors_exit_one():
     ):
         code, out, err = run_cli(construct + [option, value])
         assert (code, out) == (1, ""), (option, value)
-        # argparse's usage lines come first; construct's list every option.
-        message = err.splitlines()[-1]
-        assert message.startswith(f"error: argument {option}: ") and len(message.encode()) < 300
+        assert f"argument {option}: " in err and len(err.encode()) < 300
     code, out, err = run_cli(["exact", "Z6", "{0,1}", "--budget-ms", "\u0665"])
     assert (code, out) == (1, "")
     assert "argument --budget-ms: " in err and len(err.encode()) < 300
