@@ -532,10 +532,10 @@ class Command(NamedTuple):
 
 
 _FORMAT = Option("--format", choices=("text", "json", "csv"), default="text")
-# construct's default, None, leaves the search its own (errors.DEFAULT_BUDGET_MS).
 _BUDGET = Option(
     "--budget-ms",
     _budget,
+    default=DEFAULT_BUDGET_MS,
     help="wall-clock budget for the exact solver in milliseconds",
     metavar="N",
 )
@@ -545,12 +545,7 @@ _PATTERN = ("group", "set")
 # --format comes first in each, as in its help.
 COMMANDS = {
     "bounds": Command("all four bounds for a pattern", _PATTERN, (_FORMAT,), _cmd_bounds),
-    "exact": Command(
-        "exact N by hitting-set solve",
-        _PATTERN,
-        (_FORMAT, _BUDGET._replace(default=DEFAULT_BUDGET_MS)),
-        _cmd_exact,
-    ),
+    "exact": Command("exact N by hitting-set solve", _PATTERN, (_FORMAT, _BUDGET), _cmd_exact),
     "construct": Command(
         "build a certified avoiding set",
         _PATTERN,

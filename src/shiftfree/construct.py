@@ -8,21 +8,21 @@ and verify_avoids live in exact and are re-exported here.
 
 There is one avoider builder, search_avoider.  With H the pattern's
 stabilizer and q = |G/H|, an avoider of S/H in G/H lifts to one of g - q more
-elements in G, so it searches G/H for the classes it needs.  The lowest
-classes come first: when no translate of S/H lies inside the lowest need
-classes (_inside, k kernel rotations), those classes are the answer, with no
-class mask and no greedy.  Otherwise it searches only a window, the lowest m
-classes, with m the fewest for which Chvatal's bound guarantees that the
-complement of exact's greedy hitting set of the translates inside the window
-keeps enough (_window): a class set inside the window that holds none of
-those translates holds none at all.  When the window is all of G/H and the
-greedy falls short, a bounded exact solve follows when
-q <= exact.MAX_EXACT_ORDER (the quotients exact_N answers), and seeded random
-samples and repair on the others.  A target of at most g - q
-needs no class, so it searches nothing and MAX_SEARCH_ORDER does not apply:
-construct_thm1 is search_avoider at g - q, the lift of the empty class set.
-construct_thm2 is search_avoider at the theorem-2 size, which the greedy
-always reaches, so it never draws from the seed.
+elements in G, so it searches G/H for the classes it needs, and
+exact._fitting, the loop verify_avoids runs, says which translates of S/H
+a class set holds.  The lowest classes come first: when they hold none,
+they are the answer, with no class mask and no greedy.  Otherwise it
+searches only a window, the lowest m classes, with m the fewest for which
+Chvatal's bound guarantees that the complement of exact's greedy hitting
+set of the translates inside the window keeps enough (_window): a class
+set inside the window that holds none of those translates holds none at
+all.  When the window is all of G/H and the greedy falls short, a bounded
+exact solve follows when q <= exact.MAX_EXACT_ORDER (the quotients exact_N
+answers), and seeded random samples and repair on the others.  A target of
+at most g - q needs no class, so it searches nothing and MAX_SEARCH_ORDER
+does not apply: construct_thm1 is search_avoider at g - q, the lift of the
+empty class set.  construct_thm2 is search_avoider at the theorem-2 size,
+which the greedy always reaches, so it never draws from the seed.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from typing import Callable
 from .bounds import thm2_lower
 from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, EmptySetError, SearchExhaustedError
 from .exact import MAX_EXACT_ORDER, Certificate, certify, verify_avoids
-from .exact import _check_verify_work, _element_sets, _greedy_hitting_set, _solve_hitting_set
+from .exact import _check_verify_work, _element_sets, _fitting, _greedy_hitting_set
+from .exact import _solve_hitting_set
 from .groups import GroupSubset, _bit_indices, _close, _lift, _ranks, _rotation
-from .groups import Quotient, preimage_subset, quotient_view, stabilizer
+from .groups import preimage_subset, quotient_view, stabilizer
 
 __all__ = [
     "Certificate",
@@ -84,32 +85,33 @@ def _lowest(bits: int, count: int) -> int:
 
 
 def search_avoider(
-    pattern: GroupSubset, target_size: int, *, seed: int = 0, budget_ms: int | None = None
+    pattern: GroupSubset, target_size: int, *, seed: int = 0,
+    budget_ms: int | None = DEFAULT_BUDGET_MS,
 ) -> Certificate:
     """Find a verified avoiding set of exactly target_size elements.
 
-    With H the pattern's stabilizer and q = |G/H|, class c's mask holds the
-    translates of S/H at the classes of representatives[c] - S: the ranks of
-    the coset minima in one kernel rotation of -S (the negated minima of S
-    closed under H's pivots), as exact_N ranks its family.  First, when no
-    translate of S/H lies inside the lowest need = target_size - (g - q)
-    classes (_inside: no t with t + x in their preimage for each of the k
-    minima x of S, one rotation each), those classes are the answer and no
-    mask is built.  Otherwise only the classes of the window [0, m) get a
-    mask (_window), and it keeps only the translates inside the window, by
-    the same k rotations of the window's preimage.  _search finds need
-    classes avoiding S/H, and _lift adds every other coset minus its
-    maximum.  A target of at most g - q needs no class: it lifts the empty
-    class set, cut to the lowest target_size elements, and builds no mask.
-    A translate of the pattern is a union of H-cosets, so it fits in the lift
-    only if all its classes were found.  A bad seed or target_size raises
-    ValueError before the stabilizer is computed.  A target that needs
-    classes in a quotient above MAX_SEARCH_ORDER raises BudgetExceededError
-    before the quotient is built, and so does an exact phase past budget_ms
-    milliseconds (errors.DEFAULT_BUDGET_MS when None).  SearchExhaustedError
-    means every phase ran and failed, which proves no such avoider exists
-    when q <= MAX_EXACT_ORDER, exactly where exact_N answers.  The result is
-    a pure function of seed, and does not depend on it when
+    With H the pattern's stabilizer and q = |G/H|, it finds
+    need = target_size - (g - q) classes holding no translate of S/H, and
+    _lift adds every other coset minus its maximum; a translate of S is a
+    union of H-cosets, so it fits in the lift only if all its classes were
+    found.  fitting(classes), exact._fitting on the classes' preimage, tests
+    the lowest need classes, the window's translates and each random
+    sample.  Class c's mask holds the translates at the classes of
+    representatives[c] - S, the coset minima of one kernel rotation of -S
+    closed under H's pivots, ranked as exact_N ranks its family.  A target
+    of at most g - q needs no class: it lifts the empty class set, cut to
+    the lowest target_size elements.
+
+    A bad seed or target_size raises ValueError before the stabilizer is
+    computed.  A single coset of H (k = 1) has a translate in every class,
+    so a target that needs one raises SearchExhaustedError at once, at any
+    q.  Any other target that needs classes in a quotient above
+    MAX_SEARCH_ORDER raises BudgetExceededError before the quotient is
+    built, and so does an exact phase past budget_ms milliseconds (no
+    deadline when None, as in exact_N).  SearchExhaustedError means every
+    phase ran and failed, which proves no such avoider exists when
+    q <= MAX_EXACT_ORDER, exactly where exact_N answers.  The result is a
+    pure function of seed, and does not depend on it when
     q <= MAX_EXACT_ORDER.
     """
     if pattern.bits == 0:
@@ -127,24 +129,35 @@ def search_avoider(
         _check_verify_work(g, sub.order)  # before the quotient is built
         view = quotient_view(grp, sub)
         classes = 0
+    elif pattern.size == sub.order:  # one coset of H: every class holds a translate
+        raise SearchExhaustedError(f"no avoiding set of size {target_size} exists")
     else:
         _check_order(q)
         view = quotient_view(grp, sub)
         minima = _bit_indices(pattern.bits & view.minima)  # S/H
         rotate, neg = _rotation(grp), grp.neg
-        if need < q and not _inside(view, minima, need, rotate):
+
+        def fitting(classes: int) -> int:  # the H-cosets of the translates inside the classes
+            return _fitting(preimage_subset(classes, view).bits, minima, rotate, neg)
+
+        def violation(classes: int) -> int:  # the classes of the lowest translate inside, or 0
+            fits = fitting(classes)
+            t = (fits & -fits).bit_length() - 1  # the lowest fitting t, -1 if none
+            return _ranks(view, rotate(pattern.bits, t) & view.minima) if t >= 0 else 0
+
+        if need < q and not fitting((1 << need) - 1):
             classes = (1 << need) - 1  # the lowest need classes hold no translate
         else:
             m = _window(need, len(minima), q)
             inside = -1  # the translates inside the window [0, m), all when m = q
             if m < q:
-                inside = _ranks(view, _inside(view, minima, m, rotate) & view.minima)
+                inside = _ranks(view, fitting((1 << m) - 1) & view.minima)
             minus = _close(grp, GroupSubset.from_indices(grp, map(neg, minima)).bits, view.pivots)
             elem_masks = [
                 _ranks(view, rotate(minus, r) & view.minima) & inside
                 for r in view.representatives[:m]
             ]
-            classes = _search(elem_masks, q, need, seed, budget_ms)
+            classes = _search(elem_masks, q, need, seed, budget_ms, violation)
             if classes < 0:
                 known = "exists" if q <= MAX_EXACT_ORDER else "found within budgets"
                 raise SearchExhaustedError(f"no avoiding set of size {target_size} {known}")
@@ -156,23 +169,6 @@ def search_avoider(
             f"search built {bits.bit_count()} elements, not {target_size}; this is a bug"
         )
     return certify(GroupSubset(grp, bits), pattern)
-
-
-def _inside(view: Quotient, minima: list[int], m: int, rotate: Callable[[int, int], int]) -> int:
-    """The elements t with t + x in the lowest m classes for each minimum x of S.
-
-    One kernel rotation of the classes' preimage per minimum, stopping once
-    none is left: a union of H-cosets, one per translate of S/H lying inside
-    those classes.
-    """
-    neg = view.base.neg
-    window = preimage_subset((1 << m) - 1, view).bits
-    inside = -1
-    for s in minima:
-        inside &= rotate(window, neg(s))
-        if not inside:
-            break
-    return inside
 
 
 def _window(need: int, k: int, q: int) -> int:
@@ -191,7 +187,8 @@ def _window(need: int, k: int, q: int) -> int:
 
 
 def _search(
-    elem_masks: list[int], n_sets: int, target: int, seed: int, budget_ms: int | None
+    elem_masks: list[int], n_sets: int, target: int, seed: int, budget_ms: int | None,
+    violation: Callable[[int], int],
 ) -> int:
     """A target-element mask over [0, len(elem_masks)) holding no translate, or -1.
 
@@ -199,12 +196,13 @@ def _search(
     and lie inside the elements given.  The greedy hitting set's complement
     comes first; on a window of fewer than n_sets elements it always reaches
     the target (_window), and falling short there is a bug.  On all of them,
-    when the greedy is too small, the masks are transposed to one per
-    translate.  With q <= MAX_EXACT_ORDER an exact hitting-set solve bounded
-    by q - target (and by budget_ms, DEFAULT_BUDGET_MS when None, as in
-    exact_N) then answers; larger quotients get uniform random subsets and
-    local repair of the last sample, the only steps that draw from the seed.
-    Surplus elements are trimmed from the top.
+    when the greedy is too small, with q <= MAX_EXACT_ORDER, the masks are
+    transposed to one per translate for an exact hitting-set solve bounded by
+    q - target (and by budget_ms, no deadline when None).  Larger quotients
+    get uniform random subsets and local repair of the last sample by
+    violation(bits), the elements of the lowest translate inside bits (0 for
+    none), the only steps that draw from the seed.  Surplus elements are
+    trimmed from the top.
     """
     q = len(elem_masks)
     full = (1 << q) - 1
@@ -215,20 +213,12 @@ def _search(
         raise AssertionError(
             f"greedy left {found.bit_count()} of {q} window classes, not {target}; this is a bug"
         )
-    masks = _element_sets(elem_masks, q)
     if q <= MAX_EXACT_ORDER:
         # B avoids every translate iff its complement hits every translate.
-        budget_ms = DEFAULT_BUDGET_MS if budget_ms is None else budget_ms
-        deadline = time.monotonic_ns() + budget_ms * 1_000_000
+        deadline = None if budget_ms is None else time.monotonic_ns() + budget_ms * 1_000_000
+        masks = _element_sets(elem_masks, q)
         size, hitting, _ = _solve_hitting_set(masks, q, deadline, q - target)
         return _lowest(full ^ hitting, target) if size <= q - target else -1
-
-    def violation(bits: int) -> int:
-        """Smallest translate index whose translate is inside bits, else -1."""
-        for t in range(q):
-            if masks[t] & ~bits == 0:
-                return t
-        return -1
 
     rng = random.Random(seed)
     sample = 0
@@ -236,17 +226,17 @@ def _search(
         sample = 0
         for e in rng.sample(range(q), target):
             sample |= 1 << e
-        if violation(sample) < 0:
+        if not violation(sample):
             return sample
     bits = sample
     for _ in range(MAX_REPAIR_STEPS):
-        t = violation(bits)
-        if t < 0:
+        hit = violation(bits)
+        if not hit:
             return bits
         outside = _bit_indices(full ^ bits)
         if not outside:
             break  # target == q: no room to repair
-        inside = _bit_indices(masks[t])
+        inside = _bit_indices(hit)
         bits ^= 1 << rng.choice(inside)
         bits |= 1 << rng.choice(outside)
     return -1

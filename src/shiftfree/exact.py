@@ -61,17 +61,19 @@ contains z.  The search below z is therefore complete, for the minimum and
 for a size limit alike, and the root's equivalent branches are not searched
 again.
 
-verify_avoids is the only test of a candidate against the pattern's
-translates.  Every avoiding set the library builds, here and in construct,
-passes through certify, which calls it and treats a failure as a bug: a
-returned avoider is re-verified, never trusted from its construction.  It
-costs at most |S/H| <= min(|S|, |G/H|) rotations of a |G|-bit set, plus
-ceil(log2 |<p>|) + 1 for each pivot p of H (see verify_avoids).
+_fitting is the one avoidance kernel: which t have t + S inside a union of
+H-cosets, by |S/H| <= min(|S|, |G/H|) rotations of a |G|-bit set.
+verify_avoids asks it of a candidate's H-interior, plus ceil(log2 |<p>|) + 1
+rotations for each pivot p of H, and construct's search asks it of class
+sets.  Every avoiding set the library builds, here and in construct, passes
+through certify, which calls verify_avoids and treats a failure as a bug: a
+returned avoider is re-verified, never trusted from its construction.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, DomainMismatchError, EmptySetError
 from .groups import GroupSubset, _bit_indices, _close, _Frozen, _lift, _rotation
@@ -133,13 +135,11 @@ def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
 
     With H the pattern's stabilizer, every translate t + S is a union of
     H-cosets, so it fits in C iff it fits in C's H-interior, the H-cosets C
-    holds whole: G minus the complement of C closed under H's pivots.  The
-    interior is H-periodic, so t + S fits iff t + x lies in it for each of
-    the k = |S/H| coset minima x of S: the fitting t are the intersection of
-    the translates interior - x, a union of H-cosets whose lowest element is
-    the smallest transversal element whose translate fits.  That is at most
-    k <= min(|S|, |G/H|) rotations of a g-bit set, stopping once the
-    intersection is empty, plus ceil(log2 |<p>|) + 1 per pivot p.  Above
+    holds whole: G minus the complement of C closed under H's pivots.
+    _fitting gives the t whose translate fits there, a union of H-cosets
+    whose lowest element is the witness, the smallest transversal element
+    whose translate fits, by at most k = |S/H| <= min(|S|, |G/H|) rotations
+    of a g-bit set, plus ceil(log2 |<p>|) + 1 per pivot p.  Above
     q*g = MAX_VERIFY_WORK it raises BudgetExceededError before it translates.
     """
     if candidate.group != pattern.group:
@@ -152,13 +152,26 @@ def verify_avoids(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:
     view = quotient_view(grp, sub)
     full = (1 << grp.size) - 1
     inside = full ^ _close(grp, full ^ candidate.bits, view.pivots)
-    rotate, neg = _rotation(grp), grp.neg
+    fits = _fitting(inside, _bit_indices(pattern.bits & view.minima), _rotation(grp), grp.neg)
+    witness = (fits & -fits).bit_length() - 1 if fits else None
+    return Certificate(candidate, pattern, witness)
+
+
+def _fitting(
+    host: int, minima: list[int], rotate: Callable[[int, int], int], neg: Callable[[int], int]
+) -> int:
+    """The t with t + x in host for every x in minima, 0 once none is left.
+
+    The one avoidance loop: host rotated by each -x, intersected.  For an
+    H-periodic host and the coset minima of S, it is the union of the
+    cosets t + H whose translate t + S lies inside host.
+    """
     fits = -1  # every t, before any x is checked
-    for x in _bit_indices(pattern.bits & view.minima):
-        fits &= rotate(inside, neg(x))
+    for x in minima:
+        fits &= rotate(host, neg(x))
         if not fits:
-            return Certificate(candidate, pattern, witness=None)
-    return Certificate(candidate, pattern, witness=(fits & -fits).bit_length() - 1)
+            break
+    return fits
 
 
 def certify(candidate: GroupSubset, pattern: GroupSubset) -> Certificate:

@@ -9,8 +9,9 @@ which keeps compare/intersect at machine speed for the sizes the exact solver
 can reach.  The rotation kernel _rotation builds a group's block masks once
 and returns rotate(bits, t), one masked rotation per axis.  Every bitset
 translation outside GroupSubset.translate calls rotate directly: the
-translate family, verify_avoids, the avoider search's class masks, exact_N's
-lift, _close's doubling and stabilizer's generator check.
+translate family, exact._fitting (the avoidance loop of verify_avoids and
+the avoider search), the search's class masks and violating translate,
+exact_N's lift, _close's doubling and stabilizer's generator check.
 subgroup_generated is {0} closed under its generators.  from_indices sets
 its bits in a bytearray bitmap converted once.
 

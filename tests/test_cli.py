@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import shiftfree
 from shiftfree import cli, construct, exact
 from shiftfree.cli import format_group, main, parse_group, parse_set
-from shiftfree.errors import DomainMismatchError, ParseError
+from shiftfree.errors import DEFAULT_BUDGET_MS, DomainMismatchError, ParseError
 from shiftfree.exact import exact_N
 from shiftfree.groups import MAX_GROUP_ORDER, Group
 
@@ -360,10 +360,16 @@ def test_construct_search_exhausted_exit_code():
         assert "error:" in err
 
 
-def test_construct_search_over_budget_exits_three(monkeypatch):
-    monkeypatch.setattr(construct, "DEFAULT_BUDGET_MS", 0)
-    code, out, err = run_cli(["construct", "Z40", "{0,1,3}", "--method", "search",
-                              "--target", "24"])
+def test_construct_search_over_budget_exits_three():
+    # exact and construct share one --budget-ms, DEFAULT_BUDGET_MS unless
+    # given, whichever reader parses the call; a budget the search's exact
+    # phase outruns exits 3 with nothing on stdout.
+    for argv in (["exact", "Z40", "{0,1,3}"],
+                 ["construct", "Z40", "{0,1,3}", "--method", "search", "--target", "24"]):
+        assert cli._read(argv).budget_ms == DEFAULT_BUDGET_MS
+        assert cli.build_parser().parse_args(argv).budget_ms == DEFAULT_BUDGET_MS
+    code, out, err = run_cli(["construct", "Z63", "{0,1,9,14,50,56}", "--method", "search",
+                              "--target", "49", "--budget-ms", "1"])
     assert code == 3
     assert out == "" and err.startswith("error:")
 

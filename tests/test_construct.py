@@ -1,6 +1,7 @@
 """Avoiding-set constructions, the verifier, and the seeded search."""
 
 import hashlib
+import inspect
 import random
 import time
 import tracemalloc
@@ -21,6 +22,7 @@ from shiftfree.construct import (
     verify_avoids,
 )
 from shiftfree.errors import (
+    DEFAULT_BUDGET_MS,
     BudgetExceededError,
     DomainMismatchError,
     EmptySetError,
@@ -470,7 +472,9 @@ def test_construct_thm2_greedy_calls(monkeypatch):
 def test_search_avoider_keeps_its_random_bits_above_the_greedy(monkeypatch):
     # Above what the greedy complement reaches, a trivial stabilizer gives
     # the bits the search gave when it ran on G's own translates: sha256 of
-    # the avoider per seed 0, 1, 2, or None where the search exhausted.
+    # the avoider per seed 0, 1, 2, or None where the search exhausted.  The
+    # random and repair phases answer every pin; Z4 x Z50 modulo
+    # H = {0, (2, 0)} has coset minima other than 0..q-1.
     pins = {
         ((172,), (0, 2, 6), 89): (
             "e02d61034b60227ece17dfe8e31f268a119487f65c8fd6e8718f1766cb5e84aa",
@@ -491,6 +495,61 @@ def test_search_avoider_keeps_its_random_bits_above_the_greedy(monkeypatch):
             None,
         ),
         ((2, 146), (0, 85, 108, 111), 195): (None, None, None),
+        ((311,), (0, 205), 107): (
+            "6bb666cea9ad9c02750605b717bed1b37785203312a681bb1ced501b202e837d",
+            "141c470084b28be23d20c88107663ee2dc7e4919711764d940a1a9c6cc601beb",
+            "4a9347651d5fc34e57e64213d0bdae7064f7a5ec39a54644b2e837eb53d5ab1a",
+        ),
+        ((311,), (0, 205), 113): (
+            "ce8a353e31dc100560a04c9d8c849b092cabf4c638bd01bce1f484bb75ccb95c",
+            "42d7e13db09b1555a1874288ae1c3cd9207c18b96fcee9fa4f59c8072232e730",
+            "ac2953c8b6f6347ff94cdfc5ad2890b8bf9be061529bd6a144feb8f0fb7f75e3",
+        ),
+        ((311,), (0, 205), 120): (
+            "8bf7f830761398815e5a751b3043e6d4387a98001d541429a7f707ca2fcccb56",
+            "f8e8b189a26dd3610f7ffde824372bb52807d18df672bd6731064d44f4b5d287",
+            None,
+        ),
+        ((311,), (0, 205), 121): (
+            "77e963f91f67fd007e8e65d02272fc0112746a3a096601f536b2ed50f2bf15b6",
+            None,
+            None,
+        ),
+        ((387,), (0, 223, 229), 195): (
+            "f99ddf3ea2ea15facc0f70f4bd55b78ef7457ff3761b7927a83d2824e96fbc8d",
+            "ebf9dea8b92384853a73afaf48dc552e4041107c94d67d4e780977832e393afd",
+            "2f974a31369cd54d8955367fdb92fc4e22df464aa568042da639f830817d495d",
+        ),
+        ((387,), (0, 223, 229), 196): (
+            "d71eda1704a680e530a633c85db86de3f078f8072338c99ef50ac2d2cc7c32f0",
+            None,
+            "fab93f6b5bcadfa1fa70d51edae7cbf7e6cbc62192eb2e993077aa9948e4d554",
+        ),
+        ((387,), (0, 223, 229), 198): (
+            "9c081476befa639a8db43f074a8bf509d54731d86494d96444518c7963fd307f",
+            None,
+            "533cd1b89311e0a464a98d4623050ebd0e6d9435b8dc4f62a93922aa4e2f14d3",
+        ),
+        ((2, 73), (0, 61), 61): (
+            "2fa722efcc46fb062749cffd188f2fc46313eba992df567bed5a02f98ea2e8d7",
+            None,
+            None,
+        ),
+        ((3, 40), (0, 70), 52): (
+            None,
+            "5527480f19c9c65b7268cd10a8976f0d00af905130a21750487d4f245df75446",
+            None,
+        ),
+        ((4, 50), (0, 2, 61, 63), 141): (
+            "db816011efa68dfc2a0de0453829f095197ed3c0af0deedc9e11db4bf1a60b1a",
+            "21420619cc55543c55bba8abb4c7229c4671c62dd388ac555e799a063f6a796c",
+            "3ee673a1a2f492d1f29e6a13cbfe9346d8dbbc8ce62bf0dc377fce59d7b8a7f9",
+        ),
+        ((4, 50), (0, 2, 61, 63), 142): (
+            "85b0c7406d51e9a11f60f5fe3471e2b82c4aee1a6c5ccb6a447f8e6b203a07f5",
+            None,
+            "639c297e09460776c144fc1751d13550e3a119f2ec30aae78b7cad60a725ec8f",
+        ),
     }
     for (orders, members, target), digests in pins.items():
         grp = Group(orders)
@@ -550,13 +609,42 @@ def test_search_avoider_proves_exactly_where_exact_n_answers():
             search_avoider(pattern, n)
 
 
-def test_search_avoider_exact_phase_runs_under_the_solver_budget(monkeypatch):
+def test_search_avoider_exact_phase_runs_under_the_solver_budget():
     # Z40 {0,1,3} at 24 lies above the greedy's reach, so the exact phase
     # runs; past its budget it is a budget error, not an exhausted search.
-    monkeypatch.setattr(construct, "DEFAULT_BUDGET_MS", 0)
+    # budget_ms defaults to DEFAULT_BUDGET_MS and None means no deadline, as
+    # in exact_N.
     pattern = GroupSubset.from_indices(Group([40]), [0, 1, 3])
     with pytest.raises(BudgetExceededError):
-        search_avoider(pattern, 24)
+        search_avoider(pattern, 24, budget_ms=0)
+    for solve in (search_avoider, exact_N):
+        assert inspect.signature(solve).parameters["budget_ms"].default == DEFAULT_BUDGET_MS
+    assert search_avoider(pattern, 24, budget_ms=None).size == 24
+
+
+def test_search_avoider_refuses_a_single_coset_at_once(monkeypatch):
+    # A pattern that is one coset of its stabilizer H puts a translate in
+    # every class of G/H, so a target that needs a class is a proof that no
+    # avoider exists, given before any search phase, at any q (also above
+    # MAX_SEARCH_ORDER).  Z16384 {0} at 1 used to run the random and repair
+    # phases over all 16,384 classes and report "found within budgets".
+    def no_search(*args):
+        raise AssertionError("search phase ran")
+
+    monkeypatch.setattr(construct, "_search", no_search)
+    for orders, members, target in (
+        ([16384], [0], 1),
+        ([2 * construct.MAX_SEARCH_ORDER], [0], 1),
+        ([100], [0], 53),
+        ([3, 64], [0, 96], 97),  # the coset {0, (0, 32)}, q = 96
+        ([12], [2, 6, 10], 9),  # q = 4
+    ):
+        pattern = GroupSubset.from_indices(Group(orders), members)
+        with pytest.raises(SearchExhaustedError, match=f"no avoiding set of size {target} exists"):
+            search_avoider(pattern, target)
+        g = pattern.group.size
+        below = g - g // stabilizer(pattern).order  # needs no class
+        assert search_avoider(pattern, below).size == below
 
 
 def test_search_avoider_is_deterministic_per_seed():
