@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 from . import __version__
 from .bounds import BoundsReport, bounds_report
 from .errors import DEFAULT_BUDGET_MS, BudgetExceededError, ParseError, SearchExhaustedError
-from .groups import Group, GroupSubset, stabilizer
+from .groups import Group, GroupSubset, _close, stabilizer
 
 if TYPE_CHECKING:
     import argparse
@@ -185,13 +185,10 @@ def _parse_cosets(text: str, group: Group) -> GroupSubset:
 
 def _coset_union(group: Group, order: int, reps: Iterable[int]) -> GroupSubset:
     """Union of the cosets r + H over reps, H the order-`order` subgroup of a cyclic group."""
-    # The one nontrivial factor has stride 1, so H is generated by k = g/order
-    # and r + H holds every a = r mod k: k digits, repeated order times.
-    k = group.size // order
-    digits = bytearray(b"0" * k)  # digits[i] is bit i of each block of k bits
-    for r in reps:
-        digits[group.check_element(r) % k] = 49  # "1"
-    return GroupSubset(group, int(digits[::-1] * order, 2))
+    # The one nontrivial factor has stride 1, so H is generated by g/order
+    # (taken mod g: order 1 gives the generator 0).
+    bits = GroupSubset.from_indices(group, reps).bits
+    return GroupSubset(group, _close(group, bits, [group.size // order % group.size]))
 
 
 # -- document building --------------------------------------------------------

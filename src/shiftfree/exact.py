@@ -14,22 +14,18 @@ cosets of the stabilizer H, so a set hits it iff its image in G/H does:
 N(G, S) = g - g/h + N(G/H, S/H).  Every family set is read as its mask of
 G/H classes, class i being the coset whose minimum has rank i (as in
 groups.Quotient), so the search has at most |G/H| candidates and the order
-cap MAX_EXACT_ORDER applies to |G/H|.  A single coset of H needs no search: every translate
-is one class, so every class is hit.  Each translate t + S also lies in one
-coset of the difference subgroup K = <S - S> (K contains H), and
-translates overlap only inside one, so the family is [G:K] disjoint
-translated copies of the translates inside s0 + K.  That coset is the
-connected component of S itself, found by ORing overlapping class masks.
-Solve: the search runs on that component's masks alone, so each of its
-passes covers at most |K/H| candidates, not G.  Lift: the witness is the
-maximum of each hit class's coset (the elements _lift leaves out), and it
-is translated onto every other K-coset by the first family element's shift
-there, so tau(G, S) = [G:K] tau(K, S - s0).
+cap MAX_EXACT_ORDER applies to |G/H|.  A single coset of H needs no search:
+every translate is one class, so every class is hit.  Solve: the search
+below finds a minimum set of classes hitting every translate's mask.  Lift:
+groups._lift keeps every unhit class whole and every hit class minus its
+maximum, so the hitting set in G is the maximum of each hit class's coset,
+and the avoider is built as every other avoider in the library is, one
+_lift of a class set.
 
 The solver is a memoized frontier search: greedy incumbent first, then a
 depth-first search that always branches on the first uncovered set, over
 all of its elements in ascending order, with the admissible bound
-ceil(uncovered / max_sets_per_element).  Every element of G lies in exactly
+ceil(uncovered / max_sets_per_element).  Every class of G/H lies in exactly
 |S|/|H| family sets, which makes that bound exact to compute.  The sets are
 first put in Cuthill-McKee order (Cuthill and McKee, 1969), breadth-first
 over their overlap graph, so the sets a partial choice has covered beyond
@@ -54,12 +50,12 @@ cannot see: it halves the nodes on the exact-cap benchmark's families.
 
 The search starts with the lowest candidate element z already chosen.
 Every family solved here is closed under a group of symmetries that moves
-any candidate onto any other: G acts on its translate family, and K/H on
-the classes of the component.  A symmetry maps a hitting set to a hitting
-set of the same size, so whenever one of some size exists, one of that size
-contains z.  The search below z is therefore complete, for the minimum and
-for a size limit alike, and the root's equivalent branches are not searched
-again.
+any candidate onto any other: G/H acts on the classes, and a shift by a
+class maps the class mask of t + S onto that of the shifted translate.  A
+symmetry maps a hitting set to a hitting set of the same size, so whenever
+one of some size exists, one of that size contains z.  The search below z
+is therefore complete, for the minimum and for a size limit alike, and the
+root's equivalent branches are not searched again.
 
 _fitting is the one avoidance kernel: which t have t + S inside a union of
 H-cosets, by |S/H| <= min(|S|, |G/H|) rotations of a |G|-bit set.
@@ -274,8 +270,8 @@ def _solve_hitting_set(
     limit, stop at the first hitting set of size <= limit instead of proving a
     minimum; a returned size above limit means none exists.  Some group of
     symmetries of the masks must act transitively on the elements they cover
-    (G, G/H or K/H here), or the result can exceed the minimum.  nodes counts
-    the search nodes expanded; the search is the module docstring's memoized
+    (G/H here), or the result can exceed the minimum.  nodes counts the
+    search nodes expanded; the search is the module docstring's memoized
     frontier search, from _greedy_hitting_set's incumbent, and it cuts a
     child by the uncovered count and by the fresh-element count alike (dead
     is a function of the covered mask, so the memo's subtrees stay equal).
@@ -392,8 +388,9 @@ class ExactResult(_Frozen):
 def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) -> ExactResult:
     """Exact threshold N for the pattern, or BudgetExceededError; never partial.
 
-    The search runs on G/H's class-index masks (groups._ranks), and the
-    witness is the coset maximum of each class hit, lifted to every K-coset.
+    The search runs on the class-index masks of the whole translate family
+    (groups._ranks), and the avoider is groups._lift of the unhit classes:
+    the hitting set is the coset maximum of each class hit.
     MAX_EXACT_ORDER caps |G/H|, as it caps construct's exact phase; a single
     coset of the stabilizer H hits every class with no search at any order.
     Verification's own cap (MAX_VERIFY_WORK) is checked before the quotient
@@ -413,25 +410,9 @@ def exact_N(pattern: GroupSubset, *, budget_ms: int | None = DEFAULT_BUDGET_MS) 
     deadline = None if budget_ms is None else time.monotonic_ns() + budget_ms * 1_000_000
     view = quotient_view(grp, sub)
     full_q = (1 << view.size) - 1
-    hit, nodes, family = full_q, 0, ()  # a single coset: each translate is one class, all hit
+    hit, nodes = full_q, 0  # a single coset: each translate is one class, all hit
     if not one_coset:
-        family = translate_family(pattern)
-        classes = [_ranks(view, t & view.minima) for t in family]
-        # S's connected component, by overlap, is the K-coset s0 + K.
-        block, prev = classes[0], 0
-        while block != prev:
-            prev = block
-            for c in classes:
-                if c & block:
-                    block |= c
-        core = [c for c in classes if c & block]
-        _, hit, nodes = _solve_hitting_set(core, view.size, deadline)
-    witness = _lift(view, full_q ^ hit).complement().bits  # the hit classes' maxima
-    # Lift: r + witness hits the whole copy r + S lies in; the copies are
-    # disjoint, so each other K-coset gets exactly one.
-    rotate, witness_bits = _rotation(grp), witness
-    for r, t in zip(view.representatives, family):
-        if not t & witness_bits:
-            witness_bits |= rotate(witness, r)
-    avoider = certify(GroupSubset(grp, witness_bits).complement(), pattern).avoiding_set
+        classes = [_ranks(view, t & view.minima) for t in translate_family(pattern)]
+        _, hit, nodes = _solve_hitting_set(classes, view.size, deadline)
+    avoider = certify(_lift(view, full_q ^ hit), pattern).avoiding_set
     return ExactResult(max_avoider=avoider, nodes=nodes)

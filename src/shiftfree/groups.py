@@ -11,7 +11,7 @@ and returns rotate(bits, t), one masked rotation per axis.  Every bitset
 translation outside GroupSubset.translate calls rotate directly: the
 translate family, exact._fitting (the avoidance loop of verify_avoids and
 the avoider search), the search's class masks and violating translate,
-exact_N's lift, _close's doubling and stabilizer's generator check.
+_close's doubling and stabilizer's generator check.
 subgroup_generated is {0} closed under its generators.  from_indices sets
 its bits in a bytearray bitmap converted once.
 

@@ -9,10 +9,12 @@ import random
 import subprocess
 import sys
 import time
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import presentations
 
 import shiftfree
 from shiftfree import cli, construct, exact
@@ -247,10 +249,12 @@ def test_exact_root_fix_cuts_nodes():
     assert doc["exact"]["nodes"] < 38_014
 
 
-def test_exact_split_on_the_difference_subgroup_cuts_nodes():
-    # The family is [G:K] disjoint copies of K's, K = <S - S>, and only one
-    # is searched; searching all of them took 39,876 and 80,093 nodes here.
-    for spec, pattern, n, unsplit_nodes in (
+def test_exact_on_proper_difference_subgroups_stays_small():
+    # With K = <S - S> != G the family is [G:K] disjoint copies of K's.  The
+    # search takes them all at once, and its memo and root fixing keep that
+    # small: 25 and 89 nodes, where the branch and bound that preceded the
+    # memoized search took 39,876 and 80,093 on the same whole family.
+    for spec, pattern, n, plain_nodes in (
         ("Z30", "{0,10}", 11, 39_876),
         ("Z2xZ14", "{0,8,9}", 15, 80_093),
     ):
@@ -258,7 +262,7 @@ def test_exact_split_on_the_difference_subgroup_cuts_nodes():
         assert code == 0
         doc = json.loads(out)
         assert doc["exact"]["n"] == n
-        assert doc["exact"]["nodes"] * 100 < unsplit_nodes
+        assert doc["exact"]["nodes"] * 100 < plain_nodes
 
 
 def test_exact_corollary_small():
@@ -887,6 +891,64 @@ def test_reader_matches_the_tree(argv):
         assert run_cli(argv) == (code, out, err)
     else:
         assert vars(cli._parse(argv)) == vars(args)
+
+
+SMALL_GROUPS = [orders for n in range(1, 17) for orders in presentations(n)]
+
+
+@st.composite
+def set_specs(draw, orders):
+    """A set spec for the group: explicit, coordinate tuples, cosets(...) or malformed.
+
+    Elements, coordinates and coset orders are drawn in range, so that most
+    calls reach the solvers; a quarter of the specs add one element past an
+    end, or a coordinate tuple of the wrong length.
+    """
+    g = prod(orders)
+    kind = draw(st.sampled_from(["explicit", "explicit", "tuples", "cosets", "malformed"]))
+    spoil = draw(st.integers(0, 3)) == 0
+    if kind == "explicit":
+        items = draw(st.lists(st.integers(0, g - 1), min_size=1, max_size=6))
+        items += [draw(st.sampled_from([-1, g]))] * spoil
+        return "{" + ", ".join(map(str, items)) + "}"
+    if kind == "tuples":
+        coords = st.tuples(*(st.integers(0, m - 1) for m in orders))
+        items = draw(st.lists(coords, min_size=1, max_size=4))
+        items += [draw(st.sampled_from([(*orders,), (0,) * (len(orders) + 1)]))] * spoil
+        return "{" + ", ".join("(" + ",".join(map(str, c)) + ")" for c in items) + "}"
+    if kind == "cosets":
+        order = draw(st.sampled_from([d for d in range(1, g + 1) if g % d == 0]))
+        reps = draw(st.lists(st.integers(0, g - 1), min_size=1, max_size=4))
+        reps += [draw(st.sampled_from([-1, g]))] * spoil
+        return f"cosets(order={order}; reps={','.join(map(str, reps))})"
+    return draw(st.text("{}(),;= 0123456789-xZcosetrdp", max_size=16))
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """Any command on a group of order <= 16, with its flags and drawn specs."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    command = cli.COMMANDS[name]
+    orders = draw(st.sampled_from(SMALL_GROUPS))
+    argv = [name]
+    for positional in command.positionals:
+        argv.append(format_group(Group(orders)) if positional == "group" else draw(set_specs(orders)))
+    for _ in range(draw(st.integers(0, 3))):
+        option = draw(st.sampled_from(command.options))
+        values = option.choices or ("0", "1", "3", "12", "1000", "-1", "x")
+        argv += [option.flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argvs())
+def test_main_returns_a_documented_exit_code_on_any_small_call(argv):
+    # Every command, with its flags, on groups of order <= 16 and set specs
+    # well formed or not: main answers with an exit code 0-5, never an
+    # escaped exception or a traceback.
+    code, _, err = run_cli(argv)
+    assert type(code) is int and 0 <= code <= 5, argv
+    assert "Traceback" not in err, argv
 
 
 def _count_parsers(monkeypatch):

@@ -3,7 +3,7 @@
 translate_family returns bitsets, and the search is the private
 exact._solve_hitting_set, so the hitting-set tests call it on a translate
 family, the only kind of family the search is sound on.  exact_N is checked
-against the naive oracle and against the unsplit solve.
+against the naive oracle and against the solve of the G-level family.
 """
 
 import itertools
@@ -28,7 +28,14 @@ from shiftfree.cli import parse_group, parse_set
 from shiftfree.construct import construct_thm1, verify_avoids
 from shiftfree.errors import BudgetExceededError, EmptySetError
 from shiftfree.exact import MAX_EXACT_ORDER, Certificate, ExactResult, exact_N, translate_family
-from shiftfree.groups import Group, GroupSubset, _rotation, stabilizer, subgroup_generated
+from shiftfree.groups import (
+    Group,
+    GroupSubset,
+    _rotation,
+    quotient_view,
+    stabilizer,
+    subgroup_generated,
+)
 
 
 def solve_family(pattern: GroupSubset) -> tuple[int, int]:
@@ -221,8 +228,8 @@ def test_greedy_hitting_set_matches_rescan_exhaustive(monkeypatch):
     # pick exactly what a full rescan per pick does, or exact_N's incumbent,
     # and with it its node count, moves.  Every greedy input that
     # the whole-family solve and exact_N produce on one pattern per translation orbit
-    # in every group of order <= 12: whole translate families, and the masked
-    # K-coset cores exact_N solves.
+    # in every group of order <= 12: whole translate families, and the class
+    # families of G/H exact_N solves.
     inputs = []
     greedy = exact._greedy_hitting_set
 
@@ -455,11 +462,14 @@ def maximal_subgroups(grp: Group) -> set[int]:
     return out
 
 
-def test_exact_n_split_on_the_difference_subgroup_matches_unsplit_solver():
-    # exact_N solves one K-coset's translates, K = <S - S>, and lifts the
-    # witness to the others.  A pattern holding 0 has K = <S>, and K != G iff
-    # S lies in a maximal subgroup.  One pattern per translation orbit, in
-    # every presentation of order <= 16, against the whole family's minimum.
+def test_exact_n_on_proper_difference_subgroups_matches_whole_family_solve():
+    # With K = <S - S> != G the translates fall into [G:K] disjoint copies,
+    # one per K-coset, and exact_N still solves the whole class family of
+    # G/H.  A pattern holding 0 has K = <S>, and K != G iff S lies in a
+    # maximal subgroup.  One pattern per translation orbit, in every
+    # presentation of order <= 16, against the G-level family's minimum.
+    # The hitting set holds only coset maxima, the minima reflected as
+    # groups._lift reflects them.
     checked = 0
     for n in range(1, 17):
         for orders in presentations(n):
@@ -477,6 +487,9 @@ def test_exact_n_split_on_the_difference_subgroup_matches_unsplit_solver():
                     tau = solve_family(pattern)[0]
                     assert grp.size - result.max_avoider.size == tau, pattern
                     assert verify_avoids(result.max_avoider, pattern).verified, pattern
+                    minima = quotient_view(grp, stabilizer(pattern)).minima
+                    maxima = int(format(minima, f"0{grp.size}b")[::-1], 2)
+                    assert result.min_hitting_set.bits & ~maxima == 0, pattern
                     checked += 1
     assert checked == 1847
 
@@ -501,7 +514,7 @@ def test_exact_n_coset_union_solves_on_the_quotient():
 
 
 def test_exact_n_solves_over_the_core_elements_only(monkeypatch):
-    # Z2048 mod its order-64 subgroup: the core's masks name the 32 classes
+    # Z2048 mod its order-64 subgroup: the family's masks name the 32 classes
     # of G/H, so the solve's universe is 32 elements, not 2048, and the
     # answer is the quotient's.
     universes = []
